@@ -4,10 +4,14 @@ Vertices are all sentences of size n; there is an edge I -> J (J != I)
 weighted by the number of standard tableaux of shape I whose colored descent
 composition is J.  For the immaculate variant every edge strictly decreases
 the word-length composition in lexicographic order, so the graph is acyclic
-and signed path sums invert the L matrix.  The row-strict variant is NOT
-acyclic in general (already at n = 2 the shapes (aa) and (a,a) form a
-2-cycle), so inverse coefficients for it are obtained through the complement
-involution on the immaculate graph; see the qsym/nsym conversion routes.
+and signed path sums invert the L matrix.  That order is also topological,
+so inverse rows and columns are computed by a sweep over the vertices in
+increasing word-length order, which finishes every out-neighbour of a vertex
+before the vertex itself; the rows are cached on the graph.  The row-strict
+variant is NOT acyclic in general (already at n = 2 the shapes (aa) and
+(a,a) form a 2-cycle), so inverse coefficients for it are obtained through
+the complement involution on the immaculate graph; see the qsym/nsym
+conversion routes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class DescentGraph:
         "vertices",
         "edges",
         "is_acyclic",
-        "_inverse_memo",
+        "_rows",
         "_rev",
     )
 
@@ -41,7 +45,7 @@ class DescentGraph:
         self.vertices = vertices
         self.edges = edges  # vertex -> {target: weight}, no self-loops
         self.is_acyclic = is_acyclic
-        self._inverse_memo = {}
+        self._rows = {}  # vertex -> {target: inverse coefficient}, nonzero only
         self._rev = None
 
     def out_edges(self, i: Sentence) -> dict:
@@ -92,71 +96,85 @@ def build(n: int, alphabet: Alphabet, variant: str = IMMACULATE, cap: int = DEFA
     return DescentGraph(n, alphabet, variant, vertices, edges, acyclic)
 
 
-@lru_cache(maxsize=None)
 def cached_graph(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> DescentGraph:
+    """One shared graph per (alphabet, degree, variant), whether or not the
+    variant is passed."""
+    return _graph_cache(alphabet, n, variant)
+
+
+@lru_cache(maxsize=None)
+def _graph_cache(alphabet: Alphabet, n: int, variant: str) -> DescentGraph:
     return build(n, alphabet, variant)
 
 
-def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
-    """Signed sum over directed paths from i to k of the product of edge
-    weights, via the memoized recurrence inv(i, k) = delta - sum over edges
-    i -> j of weight * inv(j, k)."""
+def _require_acyclic(g: DescentGraph) -> None:
     if not g.is_acyclic:
         raise ValueError(
             f"{g.variant} descent graph at degree {g.degree} is cyclic; "
             "path sums diverge (use the complement route instead)"
         )
-    memo = g._inverse_memo
-    key = (i, k)
-    if key in memo:
-        return memo[key]
-    total = 1 if i == k else 0
-    for j, w in g.out_edges(i).items():
-        sub = inverse_coeff(g, j, k)
-        if sub:
-            total -= w * sub
-    memo[key] = total
-    return total
 
 
-def inverse_row(g: DescentGraph, i: Sentence) -> dict:
-    """All nonzero inverse coefficients from i, over its reachable set."""
-    out = {}
-    for k in reachable(g, i):
-        c = inverse_coeff(g, i, k)
-        if c:
-            out[k] = c
-    return out
-
-
-def inverse_column(g: DescentGraph, k: Sentence) -> dict:
-    """All nonzero inverse coefficients into k, indexed by the source."""
-    sources = {k}
-    stack = [k]
-    while stack:
-        v = stack.pop()
-        for i in g.in_neighbors(v):
-            if i not in sources:
-                sources.add(i)
-                stack.append(i)
-    out = {}
-    for i in sources:
-        c = inverse_coeff(g, i, k)
-        if c:
-            out[i] = c
-    return out
-
-
-def reachable(g: DescentGraph, root: Sentence) -> list:
+def _closure(root: Sentence, step, known=()) -> set:
+    """root and every vertex reached from it through step, never entering a
+    vertex of known."""
     seen = {root}
     stack = [root]
     while stack:
-        v = stack.pop()
-        for j in g.out_edges(v):
-            if j not in seen:
+        for j in step(stack.pop()):
+            if j not in seen and j not in known:
                 seen.add(j)
                 stack.append(j)
-    return sort_sentences(seen, g.alphabet)
+    return seen
+
+
+def _row(g: DescentGraph, i: Sentence) -> dict:
+    """The cached inverse row of i; callers must not mutate it.  A cached
+    row's descendants are cached too, so the sweep only visits the vertices
+    below i that have no row yet, sinks first."""
+    _require_acyclic(g)
+    rows = g._rows
+    if i not in rows:
+        for v in sorted(_closure(i, g.out_edges, rows), key=word_lengths):
+            row = {v: 1}
+            for j, w in g.out_edges(v).items():
+                for k, c in rows[j].items():
+                    row[k] = row.get(k, 0) - w * c
+            rows[v] = {k: c for k, c in row.items() if c}
+    return rows[i]
+
+
+def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
+    """Signed sum over directed paths from i to k of the product of edge
+    weights: entry k of the swept inverse row of i (see inverse_row), and 0
+    when k is not reachable from i."""
+    return _row(g, i).get(k, 0)
+
+
+def inverse_row(g: DescentGraph, i: Sentence) -> dict:
+    """All nonzero inverse coefficients from i, as a fresh dict.  Rows are
+    computed by the sweep row_v = e_v - sum over edges v -> j of
+    w_vj * row_j, in increasing word-length order, and cached on the graph."""
+    return dict(_row(g, i))
+
+
+def inverse_column(g: DescentGraph, k: Sentence) -> dict:
+    """All nonzero inverse coefficients into k, indexed by the source: the
+    sweep col_i = delta_ik - sum over edges i -> j of w_ij * col_j over the
+    ancestors of k, in increasing word-length order."""
+    _require_acyclic(g)
+    col = {}
+    for i in sorted(_closure(k, g.in_neighbors), key=word_lengths):
+        c = 1 if i == k else 0
+        for j, w in g.out_edges(i).items():
+            c -= w * col.get(j, 0)
+        if c:
+            col[i] = c
+    return col
+
+
+def reachable(g: DescentGraph, root: Sentence) -> list:
+    return sort_sentences(_closure(root, g.out_edges), g.alphabet)
 
 
 def path_inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:

@@ -22,7 +22,6 @@ from .sentences import (
     refinements,
     reversal,
     size,
-    sort_sentences,
     word_lengths,
 )
 from .tableaux import IMMACULATE, ROW_STRICT, ell_table, kostka_table
@@ -139,7 +138,8 @@ def _m_to_di(e: Expr) -> Expr:
             continue
         table = kostka_table(e.alphabet, n, IMMACULATE)
         remaining = dict(part)
-        for j in sort_sentences(table.keys(), e.alphabet):
+        # the table is built over all_sentences, already in canonical order
+        for j in table:
             c = remaining.get(j, 0)
             if not c:
                 continue

@@ -86,10 +86,21 @@ def test_inverse_examples():
 
 
 def test_path_enumeration_matches_recurrence():
-    g = dg.build(4, AB)
-    for i in g.vertices:
-        for k in dg.reachable(g, i):
-            assert dg.path_inverse_coeff(g, i, k) == dg.inverse_coeff(g, i, k)
+    # literal path sums are the oracle for both sweeps: rows and columns
+    for alphabet in (AB, ABC):
+        g = dg.build(4, alphabet)
+        cols = {}
+        for i in g.vertices:
+            row = {}
+            for k in dg.reachable(g, i):
+                c = dg.path_inverse_coeff(g, i, k)
+                assert c == dg.inverse_coeff(g, i, k), (i, k)
+                if c:
+                    row[k] = c
+                    cols.setdefault(k, {})[i] = c
+            assert dg.inverse_row(g, i) == row, i
+        for k in g.vertices:
+            assert dg.inverse_column(g, k) == cols[k], k
 
 
 def test_matrix_inverse_identity():
@@ -123,11 +134,33 @@ def test_inverse_column_matches_rows():
             assert col.get(i, 0) == dg.inverse_coeff(g, i, k)
 
 
+def test_cached_graph_ignores_how_the_variant_is_passed():
+    g = dg.cached_graph(AB, 3)
+    assert dg.cached_graph(AB, 3, IMMACULATE) is g
+    assert dg.cached_graph(AB, 3, variant=IMMACULATE) is g
+    assert dg.cached_graph(AB, 3, ROW_STRICT) is not g
+
+
+def test_inverse_row_result_does_not_alias_the_cache():
+    g = dg.build(4, ABC)
+    root = ("abb", "c")
+    want = dg.inverse_row(g, root)
+    got = dg.inverse_row(g, root)
+    got[root] = 7
+    got.pop(("a", "cb", "b"))
+    got[("aaaa",)] = 1
+    assert dg.inverse_row(g, root) == want
+    assert dg.inverse_coeff(g, root, ("a", "cb", "b")) == 1
+
+
 def test_row_strict_graph_is_cyclic_and_bridged():
     g = dg.build(2, A, ROW_STRICT)
     assert not g.is_acyclic
     assert g.out_edges(("aa",)) == {("a", "a"): 1}
     assert g.out_edges(("a", "a")) == {("aa",): 1}
+    for inverse in (dg.inverse_row, dg.inverse_column):
+        with pytest.raises(ValueError):
+            inverse(g, ("aa",))
     with pytest.raises(ValueError):
         dg.inverse_coeff(g, ("aa",), ("a", "a"))
     # out-neighbors in the row-strict graph are the complements of the

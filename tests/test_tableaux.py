@@ -199,6 +199,14 @@ def test_kostka_table_matches_direct_enumeration():
                 assert ktab[shape].get(b, 0) == kostka(shape, b), (shape, b)
 
 
+def test_kostka_table_rows_in_canonical_order():
+    # qsym's M -> DI back-substitution walks the table in insertion order,
+    # which must be the canonical (unitriangular) order of all_sentences
+    for alphabet in (AB, ABC):
+        for n in range(1, 5):
+            assert list(kostka_table(alphabet, n)) == all_sentences(alphabet, n)
+
+
 def test_row_strict_tables_match_direct_enumeration():
     for n in range(1, 4):
         ktab = kostka_table(AB, n, ROW_STRICT)
