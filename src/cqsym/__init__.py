@@ -3,7 +3,7 @@ noncommutative symmetric (NSym_A) functions: sentence combinatorics, the
 colored immaculate family of bases, descent graphs, the poset of colored
 diagrams, skew functions, and the uncoloring specialization."""
 
-from .exprs import Expr, ParseError, TensorExpr, UncoloredExpr, parse, tensor_render
+from .exprs import Expr, ParseError, TensorExpr, UncoloredExpr, parse
 from .sentences import (
     Alphabet,
     parse_sentence,
@@ -25,5 +25,4 @@ __all__ = [
     "parse_sentence",
     "parse_weak_sentence",
     "sentence_str",
-    "tensor_render",
 ]

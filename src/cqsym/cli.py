@@ -37,14 +37,10 @@ def _print_expr(e, args) -> None:
 def cmd_expand(args) -> int:
     alphabet = _alphabet(args)
     e = parse(args.expr, alphabet)
-    if side(e.tag) == "qsym":
-        out = qsym.convert(e, args.to)
-        if args.uncolor:
-            out = qsym.uncolor(out)
-    else:
-        out = nsym.convert(e, args.to)
-        if args.uncolor:
-            out = nsym.uncolor(out)
+    algebra = qsym if side(e.tag) == "qsym" else nsym
+    out = algebra.convert(e, args.to)
+    if args.uncolor:
+        out = algebra.uncolor(out)
     _print_expr(out, args)
     return 0
 
@@ -169,10 +165,7 @@ def cmd_coproduct(args) -> int:
         out = nsym.coproduct_h(Expr.basis("H", s, alphabet))
     else:
         raise ValueError(f"coproduct supports bases M, DI, RSDI and H, not {basis}")
-    if args.json:
-        print(json.dumps(out.to_json_dict()))
-    else:
-        print(out)
+    _print_expr(out, args)
     return 0
 
 
@@ -197,14 +190,8 @@ def cmd_hopf(args) -> int:
         return 0
     e = parse(args.expr, alphabet)
     if args.op == "coproduct":
-        if e.tag == "H":
-            out = nsym.coproduct_h(e)
-        else:
-            out = qsym.coproduct(e)
-        if args.json:
-            print(json.dumps(out.to_json_dict()))
-        else:
-            print(out)
+        out = nsym.coproduct_h(e) if e.tag == "H" else qsym.coproduct(e)
+        _print_expr(out, args)
         return 0
     if args.op == "antipode":
         out = nsym.antipode_h(e) if e.tag == "H" else qsym.antipode_m(e)

@@ -1,10 +1,22 @@
 """Formal linear combinations with exact rational coefficients.
 
-An Expr is a finite sum of (coefficient, sentence) terms in a single basis,
-tagged M/F/DI/RSDI on the quasisymmetric side or H/E/R/IM/RSIM on the
-noncommutative side.  Coefficients are ints or Fractions, never floats, and
-zero terms are never stored.  Conversion between tags is explicit (see the
-qsym and nsym modules); adding mixed tags raises.
+Coefficients are ints or Fractions, never floats, and zero terms are never
+stored.  The private base class _Combination holds the sparse dict from
+index to coefficient and writes once what every expression class shares:
+accumulating terms, equality, the canonical term order, the signed rendering
+and the JSON form.  Its three subclasses each supply a header, a sort key,
+index labels with the rendered term body, and the JSON names of the labels:
+
+* Expr: sentence-indexed, in one basis tagged M/F/DI/RSDI (QSym_A) or
+  H/E/R/IM/RSIM (NSym_A); the only class with arithmetic, where mixed tags
+  raise;
+* TensorExpr: indexed by pairs of sentences, the output of coproducts;
+* UncoloredExpr: composition-indexed, the output of uncoloring.
+
+Conversion between tags is explicit.  side_converter makes the convert
+function of each side from its route table and pivot basis (see the qsym and
+nsym modules); row_route makes a route that replaces each term by a row of a
+transition table.
 """
 
 from __future__ import annotations
@@ -26,6 +38,51 @@ def side(tag: str) -> str:
     raise ValueError(f"unknown basis tag {tag!r}")
 
 
+def require_side(e: "Expr", which: str) -> None:
+    if side(e.tag) != which:
+        raise ValueError(f"expected a {which} expression, got tag {e.tag}")
+
+
+def side_converter(which: str, routes: dict, pivot: str):
+    """The convert function of one side: e unchanged when it is already in
+    the target basis, else the direct route of routes[(e.tag, target)], else
+    through the pivot basis, which every tag of the side has a route to and
+    from."""
+    name = {"qsym": "QSym_A", "nsym": "NSym_A"}[which]
+
+    def convert(e: Expr, target: str) -> Expr:
+        require_side(e, which)
+        if side(target) != which:
+            raise ValueError(f"cannot convert {name} expression to {target} (wrong side)")
+        if e.tag == target:
+            return e
+        route = routes.get((e.tag, target))
+        if route is not None:
+            return route(e)
+        return convert(convert(e, pivot), target)
+
+    convert.__doc__ = f"Rewrite e in the target basis of {name}."
+    return convert
+
+
+def row_route(out_tag: str, row):
+    """A conversion that replaces each term c * X_j by c times row(alphabet,
+    j), a dict from out_tag index to coefficient.  The empty index maps to
+    itself."""
+
+    def route(e: Expr) -> Expr:
+        out = Expr(out_tag, e.alphabet)
+        for j, c in e.terms.items():
+            if not j:
+                out.add_term((), c)
+                continue
+            for k, coef in row(e.alphabet, j).items():
+                out.add_term(k, c * coef)
+        return out
+
+    return route
+
+
 def _norm_coef(c):
     """Keep integral values as int; Fractions stay exact."""
     if isinstance(c, Fraction):
@@ -45,8 +102,91 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class Expr:
-    __slots__ = ("tag", "alphabet", "terms")
+class _Combination:
+    """A finite sum of coef * index terms.  A subclass's __init__ sets its
+    header and an empty terms dict, and calls _fill only when given terms
+    (most expressions start empty, and then building one makes no extra
+    call).  It supplies _header (what besides the terms decides equality),
+    _sort_key (a key function for the canonical order), _labels and _bodies
+    (one comprehension each over a list of keys, so rendering makes no call
+    per term) and _JSON_KEYS (the JSON field of each label); _json_head
+    defaults to the tag."""
+
+    __slots__ = ("terms",)
+    _EMPTY = "0"
+
+    def _fill(self, terms) -> None:
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            self.add_term(key, c)
+
+    def add_term(self, key, c) -> None:
+        """In-place accumulate; only used while building a fresh combination."""
+        c = _norm_coef(c)
+        if not c:
+            return
+        new = self.terms.get(key, 0) + c
+        if new:
+            self.terms[key] = _norm_coef(new)
+        else:
+            del self.terms[key]
+
+    def coefficient(self, key):
+        return self.terms.get(key, 0)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._header() == other._header()
+            and self.terms == other.terms
+        )
+
+    def items(self):
+        """Terms in canonical order."""
+        return [(key, self.terms[key]) for key in sorted(self.terms, key=self._sort_key())]
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return self._EMPTY
+        keys = sorted(self.terms, key=self._sort_key())
+        pieces = []
+        for key, body in zip(keys, self._bodies(keys)):
+            c = self.terms[key]
+            mag = c if c > 0 else -c
+            head = "" if mag == 1 else f"{mag}*"
+            if not pieces:
+                sign = "" if c > 0 else "-"
+                pieces.append(f"{sign}{head}{body}")
+            else:
+                sign = "+" if c > 0 else "-"
+                pieces.append(f" {sign} {head}{body}")
+        return "".join(pieces)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+    def _json_head(self) -> dict:
+        return {"tag": self.tag}
+
+    def to_json_dict(self) -> dict:
+        fields = self._JSON_KEYS
+        keys = sorted(self.terms, key=self._sort_key())
+        return {
+            **self._json_head(),
+            "terms": [
+                dict(zip(fields, labels), coef=str(self.terms[key]))
+                for key, labels in zip(keys, self._labels(keys))
+            ],
+        }
+
+
+class Expr(_Combination):
+    """A sentence-indexed combination in the basis named by tag."""
+
+    __slots__ = ("tag", "alphabet")
+    _JSON_KEYS = ("sentence",)
 
     def __init__(self, tag: str, alphabet: Alphabet, terms=None):
         side(tag)  # validates
@@ -54,8 +194,7 @@ class Expr:
         self.alphabet = alphabet
         self.terms = {}
         if terms:
-            for s, c in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(s, c)
+            self._fill(terms)
 
     # construction -----------------------------------------------------
 
@@ -69,17 +208,6 @@ class Expr:
     @classmethod
     def zero(cls, tag: str, alphabet: Alphabet) -> "Expr":
         return cls(tag, alphabet)
-
-    def add_term(self, s: Sentence, c) -> None:
-        """In-place accumulate; only used while building a fresh Expr."""
-        c = _norm_coef(c)
-        if not c:
-            return
-        new = self.terms.get(s, 0) + c
-        if new:
-            self.terms[s] = _norm_coef(new)
-        else:
-            del self.terms[s]
 
     # algebra ----------------------------------------------------------
 
@@ -113,23 +241,6 @@ class Expr:
             return Expr(self.tag, self.alphabet)
         return Expr(self.tag, self.alphabet, {s: c * v for s, v in self.terms.items()})
 
-    def scale(self, c) -> "Expr":
-        return c * self
-
-    def coefficient(self, s: Sentence):
-        return self.terms.get(s, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Expr)
-            and self.tag == other.tag
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
         return hash((self.tag, self.alphabet, frozenset(self.terms.items())))
 
@@ -142,44 +253,29 @@ class Expr:
 
     # rendering ----------------------------------------------------------
 
-    def items(self):
-        """Terms in canonical order (graded by size, then canonical key)."""
-        key = lambda s: canonical_key(s, self.alphabet)
-        return [(s, self.terms[s]) for s in sorted(self.terms, key=key)]
+    def _header(self):
+        return self.tag, self.alphabet
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for s, c in self.items():
-            body = f"{self.tag}[{sentence_str(s)}]"
-            mag = c if c > 0 else -c
-            head = "" if mag == 1 else f"{mag}*"
-            if not pieces:
-                sign = "" if c > 0 else "-"
-                pieces.append(f"{sign}{head}{body}")
-            else:
-                sign = "+" if c > 0 else "-"
-                pieces.append(f" {sign} {head}{body}")
-        return "".join(pieces)
+    def _sort_key(self):
+        # graded by size, then canonical key
+        alphabet = self.alphabet
+        return lambda s: canonical_key(s, alphabet)
 
-    def __repr__(self) -> str:
-        return f"<Expr {self}>"
+    def _labels(self, keys) -> list:
+        return [(sentence_str(s),) for s in keys]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "terms": [
-                {"sentence": sentence_str(s), "coef": str(c)} for s, c in self.items()
-            ],
-        }
+    def _bodies(self, keys) -> list:
+        tag = self.tag
+        return [f"{tag}[{sentence_str(s)}]" for s in keys]
 
 
-class TensorExpr:
+class TensorExpr(_Combination):
     """Output-only tensor of two expressions of the same side: a finite sum
     of coef * (left sentence (x) right sentence) terms."""
 
-    __slots__ = ("tags", "alphabet", "terms")
+    __slots__ = ("tags", "alphabet")
+    _EMPTY = ""
+    _JSON_KEYS = ("left", "right")
 
     def __init__(self, tags: tuple, alphabet: Alphabet, terms=None):
         side(tags[0]), side(tags[1])
@@ -187,145 +283,52 @@ class TensorExpr:
         self.alphabet = alphabet
         self.terms = {}
         if terms:
-            for pair, c in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(pair, c)
+            self._fill(terms)
 
-    def add_term(self, pair: tuple, c) -> None:
-        c = _norm_coef(c)
-        if not c:
-            return
-        new = self.terms.get(pair, 0) + c
-        if new:
-            self.terms[pair] = _norm_coef(new)
-        else:
-            del self.terms[pair]
+    def _header(self):
+        return self.tags, self.alphabet
 
-    def coefficient(self, pair: tuple):
-        return self.terms.get(pair, 0)
+    def _sort_key(self):
+        alphabet = self.alphabet
+        return lambda p: (canonical_key(p[0], alphabet), canonical_key(p[1], alphabet))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorExpr)
-            and self.tags == other.tags
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
+    def _labels(self, keys) -> list:
+        return [(sentence_str(a), sentence_str(b)) for a, b in keys]
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _bodies(self, keys) -> list:
+        left, right = self.tags
+        return [f"{left}[{a}] @ {right}[{b}]" for a, b in self._labels(keys)]
 
-    def items(self):
-        key = lambda p: (
-            canonical_key(p[0], self.alphabet),
-            canonical_key(p[1], self.alphabet),
-        )
-        return [(p, self.terms[p]) for p in sorted(self.terms, key=key)]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return ""
-        pieces = []
-        for (a, b), c in self.items():
-            body = f"{self.tags[0]}[{sentence_str(a)}] @ {self.tags[1]}[{sentence_str(b)}]"
-            mag = c if c > 0 else -c
-            head = "" if mag == 1 else f"{mag}*"
-            if not pieces:
-                sign = "" if c > 0 else "-"
-                pieces.append(f"{sign}{head}{body}")
-            else:
-                sign = "+" if c > 0 else "-"
-                pieces.append(f" {sign} {head}{body}")
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<TensorExpr {self}>"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tags": list(self.tags),
-            "terms": [
-                {"left": sentence_str(a), "right": sentence_str(b), "coef": str(c)}
-                for (a, b), c in self.items()
-            ],
-        }
+    def _json_head(self) -> dict:
+        return {"tags": list(self.tags)}
 
 
-def tensor_render(t: TensorExpr) -> str:
-    return str(t)
-
-
-class UncoloredExpr:
+class UncoloredExpr(_Combination):
     """A composition-indexed linear combination, the image of an Expr under
-    the uncoloring map.  Output-only apart from addition and equality."""
+    the uncoloring map.  Output-only apart from equality."""
 
-    __slots__ = ("tag", "terms")
+    __slots__ = ("tag",)
+    _JSON_KEYS = ("sentence",)
 
     def __init__(self, tag: str, terms=None):
         side(tag)
         self.tag = tag
         self.terms = {}
         if terms:
-            for comp, c in terms.items() if isinstance(terms, dict) else terms:
-                self.add_term(comp, c)
+            self._fill(terms)
 
-    def add_term(self, comp: tuple, c) -> None:
-        c = _norm_coef(c)
-        if not c:
-            return
-        new = self.terms.get(comp, 0) + c
-        if new:
-            self.terms[comp] = _norm_coef(new)
-        else:
-            del self.terms[comp]
+    def _header(self):
+        return self.tag
 
-    def coefficient(self, comp: tuple):
-        return self.terms.get(comp, 0)
+    def _sort_key(self):
+        return lambda comp: (sum(comp), tuple(-p for p in comp))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UncoloredExpr)
-            and self.tag == other.tag
-            and self.terms == other.terms
-        )
+    def _labels(self, keys) -> list:
+        return [(",".join(str(p) for p in comp) if comp else "()",) for comp in keys]
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def items(self):
-        key = lambda comp: (sum(comp), tuple(-p for p in comp))
-        return [(comp, self.terms[comp]) for comp in sorted(self.terms, key=key)]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for comp, c in self.items():
-            inside = ",".join(str(p) for p in comp) if comp else "()"
-            body = f"{self.tag}[{inside}]"
-            mag = c if c > 0 else -c
-            head = "" if mag == 1 else f"{mag}*"
-            if not pieces:
-                sign = "" if c > 0 else "-"
-                pieces.append(f"{sign}{head}{body}")
-            else:
-                sign = "+" if c > 0 else "-"
-                pieces.append(f" {sign} {head}{body}")
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"<UncoloredExpr {self}>"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "terms": [
-                {
-                    "sentence": ",".join(str(p) for p in comp) if comp else "()",
-                    "coef": str(c),
-                }
-                for comp, c in self.items()
-            ],
-        }
+    def _bodies(self, keys) -> list:
+        tag = self.tag
+        return [f"{tag}[{label}]" for (label,) in self._labels(keys)]
 
 
 # ---------------------------------------------------------------------------

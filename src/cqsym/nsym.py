@@ -13,11 +13,11 @@ defining sum over all words.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import descent_graph as dg
 from . import qsym
-from .exprs import Expr, TensorExpr, UncoloredExpr, side
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
 from .sentences import (
     Alphabet,
     Sentence,
@@ -35,11 +35,6 @@ from .sentences import (
     word_lengths,
 )
 from .tableaux import IMMACULATE, ROW_STRICT, ell_columns, kostka_columns
-
-
-def _require_side(e: Expr, which: str):
-    if side(e.tag) != which:
-        raise ValueError(f"expected a {which} expression, got tag {e.tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +121,6 @@ def single_letter_immaculate_in_h(j: Sentence, alphabet: Alphabet) -> Expr:
 # ---------------------------------------------------------------------------
 # conversions
 
-def convert(e: Expr, target: str) -> Expr:
-    """Rewrite e in the target basis of NSym_A."""
-    _require_side(e, "nsym")
-    if side(target) != "nsym":
-        raise ValueError(f"cannot convert NSym_A expression to {target} (wrong side)")
-    if e.tag == target:
-        return e
-    route = _ROUTES.get((e.tag, target))
-    if route is not None:
-        return route(e)
-    return convert(convert(e, "H"), target)
-
-
 def _r_to_h(e: Expr) -> Expr:
     out = Expr("H", e.alphabet)
     for i, c in e.terms.items():
@@ -167,35 +149,24 @@ def _signed_refinement_sum(e: Expr, out_tag: str) -> Expr:
     return out
 
 
-def _e_to_h(e: Expr) -> Expr:
-    return _signed_refinement_sum(e, "H")
+_e_to_h = partial(_signed_refinement_sum, out_tag="H")
+_h_to_e = partial(_signed_refinement_sum, out_tag="E")
 
 
-def _h_to_e(e: Expr) -> Expr:
-    return _signed_refinement_sum(e, "E")
+def _kostka_column(variant):
+    return lambda alphabet, j: kostka_columns(alphabet, size(j), variant).get(j, {})
 
 
-def _column_route(columns_fn, variant, out_tag):
-    def route(e: Expr) -> Expr:
-        out = Expr(out_tag, e.alphabet)
-        for c_index, c in e.terms.items():
-            if not c_index:
-                out.add_term((), c)
-                continue
-            col = columns_fn(e.alphabet, size(c_index), variant).get(c_index, {})
-            for j, count in col.items():
-                out.add_term(j, c * count)
-        return out
-
-    return route
+def _ell_column(variant):
+    return lambda alphabet, j: ell_columns(alphabet, size(j), variant).get(j, {})
 
 
-_h_to_im = _column_route(kostka_columns, IMMACULATE, "IM")
-_e_to_rsim = _column_route(kostka_columns, IMMACULATE, "RSIM")
-_h_to_rsim = _column_route(kostka_columns, ROW_STRICT, "RSIM")
-_e_to_im = _column_route(kostka_columns, ROW_STRICT, "IM")
-_r_to_im = _column_route(ell_columns, IMMACULATE, "IM")
-_r_to_rsim = _column_route(ell_columns, ROW_STRICT, "RSIM")
+_h_to_im = row_route("IM", _kostka_column(IMMACULATE))
+_e_to_rsim = row_route("RSIM", _kostka_column(IMMACULATE))
+_h_to_rsim = row_route("RSIM", _kostka_column(ROW_STRICT))
+_e_to_im = row_route("IM", _kostka_column(ROW_STRICT))
+_r_to_im = row_route("IM", _ell_column(IMMACULATE))
+_r_to_rsim = row_route("RSIM", _ell_column(ROW_STRICT))
 
 
 def _im_to_h(e: Expr) -> Expr:
@@ -220,28 +191,15 @@ def _rsim_to_h(e: Expr) -> Expr:
     return _e_to_h(swapped)
 
 
-def _im_to_r(e: Expr) -> Expr:
-    out = Expr("R", e.alphabet)
-    for j, c in e.terms.items():
-        if not j:
-            out.add_term((), c)
-            continue
-        g = dg.cached_graph(e.alphabet, size(j))
-        for i, coef in dg.inverse_column(g, j).items():
-            out.add_term(i, c * coef)
-    return out
+def _im_in_r(alphabet: Alphabet, j: Sentence) -> dict:
+    return dg.inverse_column(dg.cached_graph(alphabet, size(j)), j)
 
 
-def _rsim_to_r(e: Expr) -> Expr:
-    out = Expr("R", e.alphabet)
-    for j, c in e.terms.items():
-        if not j:
-            out.add_term((), c)
-            continue
-        g = dg.cached_graph(e.alphabet, size(j))
-        for i, coef in dg.inverse_column(g, j).items():
-            out.add_term(complement(i), c * coef)
-    return out
+_im_to_r = row_route("R", _im_in_r)
+# psi fixes R up to complementing the index and sends IM to RSIM
+_rsim_to_r = row_route(
+    "R", lambda alphabet, j: {complement(i): c for i, c in _im_in_r(alphabet, j).items()}
+)
 
 
 _ROUTES = {
@@ -261,6 +219,8 @@ _ROUTES = {
     ("RSIM", "R"): _rsim_to_r,
 }
 
+convert = side_converter("nsym", _ROUTES, "H")
+
 
 # ---------------------------------------------------------------------------
 # Hopf operations on the H basis
@@ -268,8 +228,8 @@ _ROUTES = {
 def product(e1: Expr, e2: Expr, target: str = None) -> Expr:
     """Multiply in NSym_A: concatenation on the H basis; the result comes
     back in the basis of the first factor unless a target tag is given."""
-    _require_side(e1, "nsym")
-    _require_side(e2, "nsym")
+    require_side(e1, "nsym")
+    require_side(e2, "nsym")
     if e1.alphabet != e2.alphabet:
         raise ValueError("mixed alphabets")
     h1, h2 = convert(e1, "H"), convert(e2, "H")
@@ -308,11 +268,9 @@ _PSI_TAG = {"H": "E", "E": "H", "R": "R", "IM": "RSIM", "RSIM": "IM"}
 def psi(e: Expr) -> Expr:
     """The involution complementing R indices; swaps H with E and the
     immaculate with the row-strict immaculate basis."""
-    _require_side(e, "nsym")
+    require_side(e, "nsym")
     r = convert(e, "R")
-    out = Expr("R", e.alphabet)
-    for i, c in r.terms.items():
-        out.add_term(complement(i), c)
+    out = Expr("R", e.alphabet, ((complement(i), c) for i, c in r.terms.items()))
     return convert(out, _PSI_TAG[e.tag])
 
 
@@ -332,8 +290,8 @@ def pieri(j: Sentence, w: Word, alphabet: Alphabet) -> Expr:
 
 def pair(n: Expr, q: Expr):
     """Duality pairing of NSym_A with QSym_A: <H_I, M_J> = delta."""
-    _require_side(n, "nsym")
-    qsym._require_side(q, "qsym")
+    require_side(n, "nsym")
+    require_side(q, "qsym")
     if n.alphabet != q.alphabet:
         raise ValueError("mixed alphabets")
     h = convert(n, "H")
@@ -349,8 +307,5 @@ def pair(n: Expr, q: Expr):
 
 def uncolor(e: Expr) -> UncoloredExpr:
     """Replace each index by its word lengths and merge coefficients."""
-    _require_side(e, "nsym")
-    out = UncoloredExpr(e.tag)
-    for i, c in e.terms.items():
-        out.add_term(word_lengths(i), c)
-    return out
+    require_side(e, "nsym")
+    return UncoloredExpr(e.tag, ((word_lengths(i), c) for i, c in e.terms.items()))

@@ -24,7 +24,7 @@ from .sentences import (
     size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, _check_variant
+from .tableaux import IMMACULATE, Filling, _check_variant
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -95,7 +95,7 @@ def chains(j: Sentence, i: Sentence) -> list:
     return out
 
 
-class SkewTableau:
+class SkewTableau(Filling):
     """A filling of the active boxes of a skew colored shape.  rows[i][j] is
     None on the inactive prefix (the first |inner_i| boxes of row i)."""
 
@@ -135,31 +135,8 @@ class SkewTableau:
             f"{self.rows} {self.variant}>"
         )
 
-    def boxes_of_value(self, v: int) -> list:
-        out = [
-            (i, j)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-            if x == v
-        ]
-        if self.variant == IMMACULATE:
-            out.sort(key=lambda rc: (-rc[0], rc[1]))
-        else:
-            out.sort(key=lambda rc: (rc[0], rc[1]))
-        return out
-
-    def type_(self) -> Sentence:
-        top = max((v for r in self.rows for v in r if v is not None), default=0)
-        words = []
-        for v in range(1, top + 1):
-            words.append("".join(self.outer[i][j] for i, j in self.boxes_of_value(v)))
-        while words and not words[-1]:
-            words.pop()
-        return tuple(words)
-
-    def is_standard(self) -> bool:
-        values = [v for r in self.rows for v in r if v is not None]
-        return sorted(values) == list(range(1, len(values) + 1))
+    def _diagram(self) -> Sentence:
+        return self.outer
 
     def render_block(self) -> str:
         lines = []

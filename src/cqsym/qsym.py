@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 
 from . import descent_graph as dg
-from .exprs import Expr, TensorExpr, UncoloredExpr, side
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
 from .sentences import (
     coarsenings,
     complement,
@@ -25,24 +25,6 @@ from .sentences import (
     word_lengths,
 )
 from .tableaux import IMMACULATE, ROW_STRICT, ell_table, kostka_table
-
-
-def _require_side(e: Expr, which: str):
-    if side(e.tag) != which:
-        raise ValueError(f"expected a {which} expression, got tag {e.tag}")
-
-
-def convert(e: Expr, target: str) -> Expr:
-    """Rewrite e in the target basis of QSym_A."""
-    _require_side(e, "qsym")
-    if side(target) != "qsym":
-        raise ValueError(f"cannot convert QSym_A expression to {target} (wrong side)")
-    if e.tag == target:
-        return e
-    route = _ROUTES.get((e.tag, target))
-    if route is not None:
-        return route(e)
-    return convert(convert(e, "M"), target)
 
 
 # single-step routes ---------------------------------------------------
@@ -64,68 +46,19 @@ def _m_to_f(e: Expr) -> Expr:
     return out
 
 
-def _tableau_row_route(table_fn, variant, out_tag):
-    def route(e: Expr) -> Expr:
-        out = Expr(out_tag, e.alphabet)
-        for j, c in e.terms.items():
-            if not j:
-                out.add_term((), c)
-                continue
-            row = table_fn(e.alphabet, size(j), variant)[j]
-            for b, count in row.items():
-                out.add_term(b, c * count)
-        return out
-
-    return route
-
-
-_di_to_m = _tableau_row_route(kostka_table, IMMACULATE, "M")
-_rsdi_to_m = _tableau_row_route(kostka_table, ROW_STRICT, "M")
-
-
-def _ell_row_route(variant, out_tag):
-    def route(e: Expr) -> Expr:
-        out = Expr(out_tag, e.alphabet)
-        for j, c in e.terms.items():
-            if not j:
-                out.add_term((), c)
-                continue
-            row = ell_table(e.alphabet, size(j), variant)[j]
-            for comp, count in row.items():
-                out.add_term(comp, c * count)
-        return out
-
-    return route
-
-
-_di_to_f = _ell_row_route(IMMACULATE, "F")
-_rsdi_to_f = _ell_row_route(ROW_STRICT, "F")
-
-
-def _f_to_di(e: Expr) -> Expr:
-    out = Expr("DI", e.alphabet)
-    for i, c in e.terms.items():
-        if not i:
-            out.add_term((), c)
-            continue
-        g = dg.cached_graph(e.alphabet, size(i))
-        for k, coef in dg.inverse_row(g, i).items():
-            out.add_term(k, c * coef)
-    return out
-
-
-def _f_to_rsdi(e: Expr) -> Expr:
-    # psi sends F_I to F_{I^c} and DI to RSDI, so the row-strict inverse
-    # coefficients are the immaculate ones read from the complement
-    out = Expr("RSDI", e.alphabet)
-    for i, c in e.terms.items():
-        if not i:
-            out.add_term((), c)
-            continue
-        g = dg.cached_graph(e.alphabet, size(i))
-        for k, coef in dg.inverse_row(g, complement(i)).items():
-            out.add_term(k, c * coef)
-    return out
+_di_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), IMMACULATE)[j])
+_rsdi_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), ROW_STRICT)[j])
+_di_to_f = row_route("F", lambda alphabet, j: ell_table(alphabet, size(j), IMMACULATE)[j])
+_rsdi_to_f = row_route("F", lambda alphabet, j: ell_table(alphabet, size(j), ROW_STRICT)[j])
+_f_to_di = row_route(
+    "DI", lambda alphabet, i: dg.inverse_row(dg.cached_graph(alphabet, size(i)), i)
+)
+# psi sends F_I to F_{I^c} and DI to RSDI, so the row-strict inverse
+# coefficients are the immaculate ones read from the complement
+_f_to_rsdi = row_route(
+    "RSDI",
+    lambda alphabet, i: dg.inverse_row(dg.cached_graph(alphabet, size(i)), complement(i)),
+)
 
 
 def _m_to_di(e: Expr) -> Expr:
@@ -174,14 +107,16 @@ _ROUTES = {
     ("M", "RSDI"): _m_to_rsdi,
 }
 
+convert = side_converter("qsym", _ROUTES, "M")
+
 
 # Hopf operations -------------------------------------------------------
 
 def product(e1: Expr, e2: Expr) -> Expr:
     """Multiply in QSym_A: quasishuffle on the M basis, result returned in
     the basis of the first factor."""
-    _require_side(e1, "qsym")
-    _require_side(e2, "qsym")
+    require_side(e1, "qsym")
+    require_side(e2, "qsym")
     if e1.alphabet != e2.alphabet:
         raise ValueError("mixed alphabets")
     m1, m2 = convert(e1, "M"), convert(e2, "M")
@@ -196,7 +131,7 @@ def product(e1: Expr, e2: Expr) -> Expr:
 def coproduct(e: Expr) -> TensorExpr:
     """Deconcatenation coproduct on M; the DI and RSDI coproducts go through
     skew functions (see the poset module)."""
-    _require_side(e, "qsym")
+    require_side(e, "qsym")
     if e.tag == "M":
         out = TensorExpr(("M", "M"), e.alphabet)
         for i, c in e.terms.items():
@@ -233,21 +168,16 @@ _PSI_TAG = {"M": "M", "F": "F", "DI": "RSDI", "RSDI": "DI"}
 
 def psi(e: Expr) -> Expr:
     """The involution complementing F indices; swaps DI and RSDI."""
-    _require_side(e, "qsym")
+    require_side(e, "qsym")
     f = convert(e, "F")
-    out = Expr("F", e.alphabet)
-    for i, c in f.terms.items():
-        out.add_term(complement(i), c)
+    out = Expr("F", e.alphabet, ((complement(i), c) for i, c in f.terms.items()))
     return convert(out, _PSI_TAG[e.tag])
 
 
 def uncolor(e: Expr) -> UncoloredExpr:
     """Replace each index by its word lengths and merge coefficients."""
-    _require_side(e, "qsym")
-    out = UncoloredExpr(e.tag)
-    for i, c in e.terms.items():
-        out.add_term(word_lengths(i), c)
-    return out
+    require_side(e, "qsym")
+    return UncoloredExpr(e.tag, ((word_lengths(i), c) for i, c in e.terms.items()))
 
 
 # polynomial realization -------------------------------------------------

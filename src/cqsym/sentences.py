@@ -202,15 +202,6 @@ def concat(i: Sentence, j: Sentence) -> Sentence:
     return i + j
 
 
-def near_concat(i: Sentence, j: Sentence) -> Sentence:
-    """Concatenation with the touching pair of words merged."""
-    if not i:
-        return j
-    if not j:
-        return i
-    return i[:-1] + (i[-1] + j[0],) + j[1:]
-
-
 # ---------------------------------------------------------------------------
 # quasishuffle
 

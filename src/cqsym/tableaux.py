@@ -44,7 +44,48 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-class Tableau:
+class Filling:
+    """Reading by value, shared by straight and skew tableaux: a subclass
+    has rows and variant, and _diagram gives the colored diagram the rows
+    fill.  Boxes holding None (the inactive part of a skew shape) hold no
+    value."""
+
+    __slots__ = ()
+
+    def _values(self) -> list:
+        return [v for r in self.rows for v in r if v is not None]
+
+    def is_standard(self) -> bool:
+        values = self._values()
+        return sorted(values) == list(range(1, len(values) + 1))
+
+    def boxes_of_value(self, v: int) -> list:
+        """(row, col) boxes holding v, in the variant's type-reading order."""
+        out = [
+            (i, j)
+            for i, row in enumerate(self.rows)
+            for j, x in enumerate(row)
+            if x == v
+        ]
+        if self.variant == IMMACULATE:
+            out.sort(key=lambda rc: (-rc[0], rc[1]))
+        else:
+            out.sort(key=lambda rc: (rc[0], rc[1]))
+        return out
+
+    def type_(self) -> Sentence:
+        """Weak sentence of color words per value, trailing empties trimmed."""
+        diagram = self._diagram()
+        top = max(self._values(), default=0)
+        words = []
+        for v in range(1, top + 1):
+            words.append("".join(diagram[i][j] for i, j in self.boxes_of_value(v)))
+        while words and not words[-1]:
+            words.pop()
+        return tuple(words)
+
+
+class Tableau(Filling):
     """A filled colored diagram.  rows[i][j] is the entry of box (i, j)."""
 
     __slots__ = ("shape", "rows", "variant")
@@ -85,33 +126,8 @@ class Tableau:
                 return False
         return all(v >= 1 for r in self.rows for v in r)
 
-    def is_standard(self) -> bool:
-        values = [v for r in self.rows for v in r]
-        return sorted(values) == list(range(1, len(values) + 1))
-
-    def boxes_of_value(self, v: int) -> list:
-        """(row, col) boxes holding v, in the variant's type-reading order."""
-        out = [
-            (i, j)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-            if x == v
-        ]
-        if self.variant == IMMACULATE:
-            out.sort(key=lambda rc: (-rc[0], rc[1]))
-        else:
-            out.sort(key=lambda rc: (rc[0], rc[1]))
-        return out
-
-    def type_(self) -> Sentence:
-        """Weak sentence of color words per value, trailing empties trimmed."""
-        top = max((v for r in self.rows for v in r), default=0)
-        words = []
-        for v in range(1, top + 1):
-            words.append("".join(self.shape[i][j] for i, j in self.boxes_of_value(v)))
-        while words and not words[-1]:
-            words.pop()
-        return tuple(words)
+    def _diagram(self) -> Sentence:
+        return self.shape
 
     def flat_type(self) -> Sentence:
         return flatten(self.type_())
@@ -163,9 +179,6 @@ class Tableau:
         des = sorted(self.descent_set())
         cuts = [0] + des + [len(word)]
         return tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
-
-    def with_variant(self, variant: str) -> "Tableau":
-        return Tableau(self.shape, self.rows, variant)
 
     def render_block(self) -> str:
         """CLI block: rows of "color,entry" cells separated by '|'."""

@@ -79,18 +79,13 @@ def run(suite: str, alphabet: Alphabet, max_degree: int) -> dict:
         ]
         for n in range(1, max_degree + 1):
             for s in all_sentences(alphabet, n):
-                for src, mid in qsym_pairs:
-                    e = Expr.basis(src, s, alphabet)
-                    back = qsym.convert(qsym.convert(e, mid), src)
-                    checks += 1
-                    if back != e:
-                        record(f"{src}->{mid}->{src}", sentence_str(s), e, back)
-                for src, mid in nsym_pairs:
-                    e = Expr.basis(src, s, alphabet)
-                    back = nsym.convert(nsym.convert(e, mid), src)
-                    checks += 1
-                    if back != e:
-                        record(f"{src}->{mid}->{src}", sentence_str(s), e, back)
+                for algebra, pairs in ((qsym, qsym_pairs), (nsym, nsym_pairs)):
+                    for src, mid in pairs:
+                        e = Expr.basis(src, s, alphabet)
+                        back = algebra.convert(algebra.convert(e, mid), src)
+                        checks += 1
+                        if back != e:
+                            record(f"{src}->{mid}->{src}", sentence_str(s), e, back)
 
     elif suite == "pieri":
         for total in range(1, max_degree + 1):

@@ -228,6 +228,32 @@ def test_hopf_command(capsys):
     assert code == 1 and "two expressions" in err
 
 
+def test_wrong_side_expand_exact_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "--alphabet", "ab", "--to", "H", "M[a]")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot convert QSym_A expression to H (wrong side)\n"
+    code, out, err = run_cli(capsys, "expand", "--alphabet", "ab", "--to", "M", "H[a]")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot convert NSym_A expression to M (wrong side)\n"
+
+
+def test_hopf_coproduct_exact_output(capsys):
+    code, out, _ = run_cli(capsys, "hopf", "--alphabet", "ab", "coproduct", "DI[ab,b] - 2*DI[a]")
+    assert code == 0
+    assert out == (
+        "-2*DI[()] @ DI[a] + DI[()] @ DI[ab,b] - 2*DI[a] @ DI[()] + DI[a] @ DI[bb]"
+        " + DI[a] @ DI[b,b] + DI[ab] @ DI[b] + DI[a,b] @ DI[b] + DI[ab,b] @ DI[()]\n"
+    )
+    code, out, _ = run_cli(capsys, "hopf", "--alphabet", "ab", "coproduct", "--json", "H[ab,b]")
+    assert code == 0
+    assert out == (
+        '{"tags": ["H", "H"], "terms": [{"left": "()", "right": "ab,b", "coef": "1"}, '
+        '{"left": "a", "right": "b,b", "coef": "1"}, {"left": "b", "right": "ab", "coef": "1"}, '
+        '{"left": "ab", "right": "b", "coef": "1"}, {"left": "a,b", "right": "b", "coef": "1"}, '
+        '{"left": "ab,b", "right": "()", "coef": "1"}]}\n'
+    )
+
+
 def test_psi_command(capsys):
     code, out, _ = run_cli(capsys, "psi", "--alphabet", "abc", "DI[ab,cb]")
     assert code == 0 and out.strip() == "RSDI[ab,cb]"

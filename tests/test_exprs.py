@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cqsym.exprs import Expr, ParseError, TensorExpr, UncoloredExpr, parse, tensor_render
+from cqsym.exprs import Expr, ParseError, TensorExpr, UncoloredExpr, parse
 from cqsym.sentences import Alphabet, all_sentences
 
 ABC = Alphabet("abc")
@@ -118,10 +118,10 @@ def test_normalization_idempotent():
 
 def test_tensor_render():
     t = TensorExpr(("M", "M"), ABC)
-    assert tensor_render(t) == ""
+    assert str(t) == ""
     t.add_term(((), ("a", "bc")), 1)
     t.add_term((("a",), ("bc",)), 2)
-    assert tensor_render(t) == "M[()] @ M[a,bc] + 2*M[a] @ M[bc]"
+    assert str(t) == "M[()] @ M[a,bc] + 2*M[a] @ M[bc]"
 
 
 def test_json_schema():
@@ -138,3 +138,58 @@ def test_uncolored_expr():
     assert str(u) == "2*M[2,1] + M[1,1,1]"
     assert u.coefficient((2, 1)) == 2
     assert UncoloredExpr("M", {(): 1}).to_json_dict()["terms"][0]["sentence"] == "()"
+
+
+@pytest.mark.parametrize(
+    "make, text, doc",
+    [
+        (lambda: Expr("M", ABC), "0", '{"tag": "M", "terms": []}'),
+        (
+            lambda: parse("2*M[a,cb,b] - M[abb,c] + 1/2*M[()] - M[b]", ABC),
+            "1/2*M[()] - M[b] - M[abb,c] + 2*M[a,cb,b]",
+            '{"tag": "M", "terms": [{"sentence": "()", "coef": "1/2"}, '
+            '{"sentence": "b", "coef": "-1"}, {"sentence": "abb,c", "coef": "-1"}, '
+            '{"sentence": "a,cb,b", "coef": "2"}]}',
+        ),
+        (lambda: TensorExpr(("M", "DI"), ABC), "", '{"tags": ["M", "DI"], "terms": []}'),
+        (
+            lambda: TensorExpr(
+                ("H", "H"),
+                ABC,
+                {((), ("a", "bc")): -1, (("a",), ("bc",)): Fraction(2, 3), (("b",), ()): -3},
+            ),
+            "-H[()] @ H[a,bc] + 2/3*H[a] @ H[bc] - 3*H[b] @ H[()]",
+            '{"tags": ["H", "H"], "terms": [{"left": "()", "right": "a,bc", "coef": "-1"}, '
+            '{"left": "a", "right": "bc", "coef": "2/3"}, '
+            '{"left": "b", "right": "()", "coef": "-3"}]}',
+        ),
+        (lambda: UncoloredExpr("IM"), "0", '{"tag": "IM", "terms": []}'),
+        (
+            lambda: UncoloredExpr("IM", {(2, 1): -2, (): Fraction(1, 2), (1, 1, 1): 1}),
+            "1/2*IM[()] - 2*IM[2,1] + IM[1,1,1]",
+            '{"tag": "IM", "terms": [{"sentence": "()", "coef": "1/2"}, '
+            '{"sentence": "2,1", "coef": "-2"}, {"sentence": "1,1,1", "coef": "1"}]}',
+        ),
+    ],
+)
+def test_render_goldens(make, text, doc):
+    e = make()
+    assert str(e) == text
+    assert json.dumps(e.to_json_dict()) == doc
+    assert repr(e) == f"<{type(e).__name__} {text}>"
+
+
+def test_reprs_name_the_class():
+    assert repr(Expr.basis("M", ("a",), AB)) == "<Expr M[a]>"
+    assert repr(TensorExpr(("M", "M"), AB)) == "<TensorExpr >"
+    assert repr(UncoloredExpr("H", {(1,): -1})) == "<UncoloredExpr -H[1]>"
+
+
+def test_expression_classes_never_equal_each_other():
+    one = {("a",): 1}
+    exprs = [Expr("M", AB, one), TensorExpr(("M", "M"), AB, one), UncoloredExpr("M", one)]
+    empties = [Expr("M", AB), TensorExpr(("M", "M"), AB), UncoloredExpr("M")]
+    for group in (exprs, empties):
+        for x in group:
+            for y in group:
+                assert (x == y) == (x is y)
