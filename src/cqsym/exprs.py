@@ -85,6 +85,10 @@ def row_route(out_tag: str, row):
 
 def _norm_coef(c):
     """Keep integral values as int; Fractions stay exact."""
+    # most coefficients are ints, and the exact type test skips the ABC
+    # check that isinstance(c, Fraction) makes
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)

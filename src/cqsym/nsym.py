@@ -173,10 +173,11 @@ def _im_to_h(e: Expr) -> Expr:
     out = Expr("H", e.alphabet)
     for j, c in e.terms.items():
         if j and all(len(w) == 1 for w in j):
-            part = single_letter_immaculate_in_h(j, e.alphabet)
+            part = single_letter_immaculate_in_h(j, e.alphabet).terms
         else:
-            part = immaculate_in_h(j, e.alphabet)
-        for s, coef in part.terms.items():
+            e.alphabet.check_sentence(j)
+            part = _imm_h_terms(j)
+        for s, coef in part.items():
             out.add_term(s, c * coef)
     return out
 

@@ -6,7 +6,9 @@ Sentences are ordered by adding one colored box at a time, either to the
 right end of an existing row or as a new bottom row.  Saturated chains from
 the empty sentence are exactly the standard tableaux; chains from a non-empty
 sentence J are the standard skew tableaux of shape I/J.  The poset itself is
-infinite and never materialized beyond the requested intervals.
+infinite and never materialized beyond the requested intervals.  Skew
+tableaux are enumerated by tableaux.fillings, the filler that also serves
+straight shapes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .sentences import (
     size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, Filling, _check_variant
+from .tableaux import IMMACULATE, Filling, _check_variant, fillings
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -181,101 +183,7 @@ def enumerate_skew_tableaux(outer: Sentence, inner: Sentence, variant: str = IMM
         raise ValueError(
             f"{sentence_str(inner)} is not left-contained in {sentence_str(outer)}"
         )
-    k = len(outer)
-    offsets = [len(inner[i]) if i < len(inner) else 0 for i in range(k)]
-    total = size(outer) - size(inner)
-    filled = list(offsets)
-    grid = [
-        [None if j < offsets[i] else 0 for j in range(len(outer[i]))] for i in range(k)
-    ]
-    first_col_rows = [i for i in range(k) if offsets[i] == 0 and len(outer[i]) > 0]
-    results = []
-
-    def placements_imm():
-        # count per row; at most one first-column row may open, in order
-        opened = sum(1 for i in first_col_rows if filled[i] > 0)
-        out = []
-
-        def rec(ridx, counts, started):
-            if ridx < 0:
-                if any(counts):
-                    out.append(list(reversed(counts)))
-                return
-            cap = len(outer[ridx]) - filled[ridx]
-            for c in range(cap + 1):
-                if c > 0 and ridx in first_col_rows and filled[ridx] == offsets[ridx]:
-                    if started or first_col_rows.index(ridx) != opened:
-                        continue
-                    counts.append(c)
-                    rec(ridx - 1, counts, True)
-                    counts.pop()
-                    continue
-                counts.append(c)
-                rec(ridx - 1, counts, started)
-                counts.pop()
-
-        rec(k - 1, [], False)
-        return out
-
-    def placements_rs():
-        opened = sum(1 for i in first_col_rows if filled[i] > 0)
-        out = []
-
-        def rec(ridx, used, next_open):
-            if ridx == k:
-                if used:
-                    out.append(list(used))
-                return
-            rec(ridx + 1, used, next_open)
-            if filled[ridx] >= len(outer[ridx]):
-                return
-            new_open = next_open
-            if ridx in first_col_rows and filled[ridx] == offsets[ridx]:
-                if first_col_rows.index(ridx) != next_open:
-                    return
-                new_open = next_open + 1
-            used.append(ridx)
-            rec(ridx + 1, used, new_open)
-            used.pop()
-
-        rec(0, [], opened)
-        return out
-
-    def place(v, remaining):
-        if remaining == 0:
-            results.append(
-                SkewTableau(outer, inner, [row[:] for row in grid], variant)
-            )
-            return
-        if variant == IMMACULATE:
-            for counts in placements_imm():
-                if sum(counts) > remaining:
-                    continue
-                for r, c in enumerate(counts):
-                    for t in range(c):
-                        grid[r][filled[r] + t] = v
-                    filled[r] += c
-                place(v + 1, remaining - sum(counts))
-                for r, c in enumerate(counts):
-                    filled[r] -= c
-                    for t in range(c):
-                        grid[r][filled[r] + t] = 0
-        else:
-            for rows_used in placements_rs():
-                if len(rows_used) > remaining:
-                    continue
-                for r in rows_used:
-                    grid[r][filled[r]] = v
-                    filled[r] += 1
-                place(v + 1, remaining - len(rows_used))
-                for r in rows_used:
-                    filled[r] -= 1
-                    grid[r][filled[r]] = 0
-
-    if total == 0:
-        return [SkewTableau(outer, inner, grid, variant)]
-    place(1, total)
-    return results
+    return [SkewTableau(outer, inner, rows, variant) for rows in fillings(outer, inner, variant)]
 
 
 # ---------------------------------------------------------------------------

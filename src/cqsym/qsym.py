@@ -24,7 +24,7 @@ from .sentences import (
     size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, ell_table, kostka_table
+from .tableaux import IMMACULATE, ROW_STRICT, _variant_index, kostka_table, standard_data
 
 
 # single-step routes ---------------------------------------------------
@@ -48,8 +48,17 @@ def _m_to_f(e: Expr) -> Expr:
 
 _di_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), IMMACULATE)[j])
 _rsdi_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), ROW_STRICT)[j])
-_di_to_f = row_route("F", lambda alphabet, j: ell_table(alphabet, size(j), IMMACULATE)[j])
-_rsdi_to_f = row_route("F", lambda alphabet, j: ell_table(alphabet, size(j), ROW_STRICT)[j])
+
+
+# one shape's L row, read from the cached standard data (ell_table would
+# rebuild the whole degree's table per term)
+def _ell_row(variant):
+    index = _variant_index(variant)
+    return lambda alphabet, j: standard_data(alphabet, size(j))[j][index]
+
+
+_di_to_f = row_route("F", _ell_row(IMMACULATE))
+_rsdi_to_f = row_route("F", _ell_row(ROW_STRICT))
 _f_to_di = row_route(
     "DI", lambda alphabet, i: dg.inverse_row(dg.cached_graph(alphabet, size(i)), i)
 )

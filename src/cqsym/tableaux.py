@@ -15,6 +15,10 @@ variants, but different descent data: value t is an immaculate descent when
 t+1 sits in a strictly lower row, and a row-strict descent when t+1 sits in a
 weakly higher row.  The colored descent composition splits the reading word
 (colors in value order) after each descent.
+
+One filler, `fillings`, enumerates tableaux by shape for both variants: on
+straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
+given weak type or with any type.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ def _check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     return variant
+
+
+def _variant_index(variant: str) -> int:
+    """Where the variant's data sits in standard_data's pairs."""
+    return VARIANTS.index(_check_variant(variant))
 
 
 class Filling:
@@ -255,118 +264,87 @@ def _descent_compositions_of_shape(shape: Sentence):
 
 
 # ---------------------------------------------------------------------------
-# general enumeration by shape and (weak) type
+# enumeration by shape and (weak) type
+#
+# One filler serves straight shapes (inner shape ()) and skew shapes, with a
+# given type or with any type.  It places the values 1, 2, ... in turn, each
+# into boxes just past the filled part of some rows, reading the rows in the
+# variant's type order.  A row whose first box is filled or lies in the inner
+# shape is open.  The others hold the first column's active boxes; they open
+# top to bottom, and only the next of them, `nxt`, may take a box, which makes
+# the one after it next.  So an immaculate value, read bottom row first,
+# opens at most one row (strict first column), and a row-strict value, read
+# top row first, opens a run of rows below the open ones (weak first column).
+
+def fillings(outer: Sentence, inner: Sentence, variant: str, type_: Sentence = None) -> list:
+    """Row tuples of every tableau of shape outer/inner, in a deterministic
+    order; inner must be left-contained in outer, and its boxes hold None.
+    With a weak type, the boxes of value v spell type_[v-1] (an empty word
+    leaves v unused); without one, the values used are 1..g for some g."""
+    k = len(outer)
+    filled = [len(w) for w in inner] + [0] * (k - len(inner))
+    active = [w[f:] for w, f in zip(outer, filled)]
+    # every box takes one value of its own color
+    if type_ is not None and sorted("".join(type_)) != sorted("".join(active)):
+        return []
+    grid = [[None] * f + [0] * len(w) for w, f in zip(active, filled)]
+    first_column = [r for r in range(k) if outer[r] and not filled[r]] + [k]
+    following = dict(zip(first_column, first_column[1:]))
+    immaculate = variant == IMMACULATE
+    order = range(k - 1, -1, -1) if immaculate else range(k)
+    out = []
+
+    def value(v: int, nxt: int, left: int) -> None:
+        # place v, or record the grid once no value is left to place; left
+        # counts the empty boxes, and is read only without a type
+        if type_ is None:
+            if left:
+                place(v, None, left, 0, 0, nxt)
+                return
+        elif v <= len(type_):
+            word = type_[v - 1]
+            place(v, word, len(word), 0, 0, nxt)
+            return
+        out.append(tuple(map(tuple, grid)))
+
+    def place(v: int, word, limit: int, i: int, pos: int, nxt: int) -> None:
+        # value v has taken pos of at most limit boxes in the first i rows
+        # of the reading order (spelling word[:pos] when typed)
+        if i == k or pos == limit:
+            if (pos == limit) if word is not None else pos:
+                value(v + 1, nxt, limit - pos)
+            return
+        place(v, word, limit, i + 1, pos, nxt)
+        r = order[i]
+        f = filled[r]
+        if f:
+            nxt_after = nxt
+        elif r == nxt:
+            nxt_after = following[r]
+        else:
+            return
+        colors = outer[r]
+        room = min(len(colors) - f, limit - pos)
+        if not immaculate and room > 1:
+            room = 1
+        row = grid[r]
+        for c in range(room):
+            if word is not None and colors[f + c] != word[pos + c]:
+                break
+            row[f + c] = v
+            filled[r] = f + c + 1
+            place(v, word, limit, i + 1, pos + c + 1, nxt_after)
+        filled[r] = f
+
+    value(1, first_column[0], sum(map(len, active)))
+    return out
+
 
 def enumerate_tableaux(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> list:
     """All tableaux of the given shape whose type equals the given weak
     sentence, in a deterministic order."""
     _check_variant(variant)
-    if size(shape) != sum(len(w) for w in type_):
-        return []
-    k = len(shape)
-    filled = [0] * k  # boxes already used at the start of each row
-    grid = [[0] * len(w) for w in shape]
-    results = []
-
-    def place_value(v: int):
-        if v > len(type_):
-            if all(filled[r] == len(shape[r]) for r in range(k)):
-                results.append(Tableau(shape, [row[:] for row in grid], variant))
-            return
-        word = type_[v - 1]
-        if variant == IMMACULATE:
-            for counts in _immaculate_placements(word, filled):
-                _apply(counts, v)
-                place_value(v + 1)
-                _unapply(counts, v)
-        else:
-            for rows_used in _row_strict_placements(word, filled):
-                counts = [1 if r in rows_used else 0 for r in range(k)]
-                _apply(counts, v)
-                place_value(v + 1)
-                _unapply(counts, v)
-
-    def _apply(counts, v):
-        for r, c in enumerate(counts):
-            for t in range(c):
-                grid[r][filled[r] + t] = v
-            filled[r] += c
-
-    def _unapply(counts, v):
-        for r, c in enumerate(counts):
-            filled[r] -= c
-
-    def _immaculate_placements(word, filled_now):
-        """Count vectors per row whose boxes, read bottom row first, spell the
-        word.  At most one row may open (strict first column), and only below
-        every already-open row."""
-        opened = sum(1 for f in filled_now if f > 0)
-        out = []
-
-        def rec(r, pos, counts, started):
-            # r runs bottom row to top; the bottom row reads first, so pos
-            # consumes the word from its left end
-            if r < 0:
-                if pos == len(word):
-                    out.append(list(reversed(counts)))
-                return
-            cap = len(shape[r]) - filled_now[r]
-            for c in range(0, min(cap, len(word) - pos) + 1):
-                if c > 0:
-                    piece = word[pos : pos + c]
-                    if filled_now[r] == 0:
-                        if started or r != opened:
-                            continue  # only the next unopened row may start
-                        if shape[r][:c] != piece:
-                            continue
-                        counts.append(c)
-                        rec(r - 1, pos + c, counts, True)
-                        counts.pop()
-                        continue
-                    if shape[r][filled_now[r] : filled_now[r] + c] != piece:
-                        continue
-                counts.append(c)
-                rec(r - 1, pos + c, counts, started)
-                counts.pop()
-
-        rec(k - 1, 0, [], False)
-        return out
-
-    def _row_strict_placements(word, filled_now):
-        """Row subsets (one box each) whose colors, read top row first, spell
-        the word.  Opening rows must extend the open prefix contiguously
-        (weak first column)."""
-        opened = sum(1 for f in filled_now if f > 0)
-        out = []
-
-        def rec(r, pos, used, next_open):
-            if r == k:
-                if pos == len(word):
-                    out.append(list(used))
-                return
-            # skip row r
-            rec(r + 1, pos, used, next_open)
-            if pos == len(word):
-                return
-            if filled_now[r] >= len(shape[r]):
-                return
-            if filled_now[r] == 0:
-                if r != next_open:
-                    return
-                new_open = next_open + 1
-            else:
-                new_open = next_open
-            if shape[r][filled_now[r]] != word[pos]:
-                return
-            used.append(r)
-            rec(r + 1, pos + 1, used, new_open)
-            used.pop()
-
-        rec(0, 0, [], opened)
-        return out
-
-    place_value(1)
-    return results
+    return [Tableau(shape, rows, variant) for rows in fillings(shape, (), variant, type_)]
 
 
 def kostka(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> int:
@@ -377,18 +355,18 @@ def kostka(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> int:
 def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int:
     """Number of standard tableaux of the shape whose colored descent
     composition (of the variant) equals comp."""
-    _check_variant(variant)
-    index = 0 if variant == IMMACULATE else 1
+    index = _variant_index(variant)
     return sum(1 for pair in _descent_compositions_of_shape(shape) if pair[index] == comp)
 
 
 # ---------------------------------------------------------------------------
-# per-degree transition tables, cached
+# per-degree transition tables
 #
 # standard_data(alphabet, n)[shape] is a pair of Counters over descent
 # compositions: index 0 immaculate, index 1 row-strict.  The Kostka rows are
 # accumulated from them: K[J][B] counts standard fillings whose descent
-# composition coarsens B.
+# composition coarsens B.  The cached tables take the variant positionally
+# and without a default, so each table has one cache key.
 
 @lru_cache(maxsize=None)
 def standard_data(alphabet: Alphabet, n: int) -> dict:
@@ -406,15 +384,13 @@ def standard_data(alphabet: Alphabet, n: int) -> dict:
 def ell_table(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
     """L rows: ell_table[J][C] = number of standard tableaux of shape J with
     descent composition C (diagonal included for the immaculate variant)."""
-    _check_variant(variant)
-    index = 0 if variant == IMMACULATE else 1
+    index = _variant_index(variant)
     return {shape: pair[index] for shape, pair in standard_data(alphabet, n).items()}
 
 
 @lru_cache(maxsize=None)
-def kostka_table(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
-    _check_variant(variant)
-    index = 0 if variant == IMMACULATE else 1
+def kostka_table(alphabet: Alphabet, n: int, variant: str, /) -> dict:
+    index = _variant_index(variant)
     out = {}
     for shape, pair in standard_data(alphabet, n).items():
         row = Counter()
@@ -425,21 +401,20 @@ def kostka_table(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def kostka_columns(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
+def _columns(rows: dict) -> dict:
+    """Transpose {shape: {comp: count}} to {comp: {shape: count}}."""
     cols = {}
-    for shape, row in kostka_table(alphabet, n, variant).items():
+    for shape, row in rows.items():
         for b, count in row.items():
             cols.setdefault(b, {})[shape] = count
     return cols
 
 
 @lru_cache(maxsize=None)
-def ell_columns(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
-    _check_variant(variant)
-    index = 0 if variant == IMMACULATE else 1
-    cols = {}
-    for shape, pair in standard_data(alphabet, n).items():
-        for co, mult in pair[index].items():
-            cols.setdefault(co, {})[shape] = mult
-    return cols
+def kostka_columns(alphabet: Alphabet, n: int, variant: str, /) -> dict:
+    return _columns(kostka_table(alphabet, n, variant))
+
+
+@lru_cache(maxsize=None)
+def ell_columns(alphabet: Alphabet, n: int, variant: str, /) -> dict:
+    return _columns(ell_table(alphabet, n, variant))

@@ -24,7 +24,7 @@ from cqsym.sentences import (
     sort_sentences,
     word_lengths,
 )
-from cqsym.tableaux import ell_coeff, ell_table, kostka, kostka_columns
+from cqsym.tableaux import IMMACULATE, ell_coeff, ell_table, kostka, kostka_columns
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -177,7 +177,7 @@ def test_criterion_3_duality():
 def _h_expansions_by_back_substitution(alphabet, n):
     """Solve the unitriangular system H_C = sum_J K_{J,C} S_J for every S in
     canonical order; independent of the creation-operator route."""
-    cols = kostka_columns(alphabet, n)
+    cols = kostka_columns(alphabet, n, IMMACULATE)
     order = sort_sentences(all_sentences(alphabet, n), alphabet)
     sol = {}
     for c in order:

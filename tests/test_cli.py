@@ -73,6 +73,48 @@ def test_tableaux_command(capsys):
     assert code == 1 and "cap" in err
 
 
+TABLEAUX_TYPE_GOLDENS = [
+    (
+        ("--alphabet", "ab", "--shape", "aab,ab", "--type", "a,a,ab,b"),
+        "a,1|a,2|b,3\na,3|b,4\n\n"
+        "a,1|a,2|b,4\na,3|b,3\n\n"
+        "a,1|a,3|b,3\na,2|b,4\n\n"
+        "count: 3\n",
+    ),
+    (
+        ("--alphabet", "ab", "--shape", "ab,ba,a", "--type", "a,b,ba,a", "--row-strict"),
+        "a,1|b,3\nb,2|a,4\na,3\n\n"
+        "a,1|b,3\nb,2|a,3\na,4\n\n"
+        "a,1|b,2\nb,3|a,4\na,3\n\n"
+        "count: 3\n",
+    ),
+    (
+        ("--alphabet", "abc", "--shape", "ab,cb", "--type=-,a,-,cb,b"),
+        "a,2|b,4\nc,4|b,5\n\n"
+        "a,2|b,5\nc,4|b,4\n\n"
+        "count: 2\n",
+    ),
+    (
+        ("--alphabet", "ab", "--shape", "ab,ba,a", "--type=-,a,b,-,ba,a", "--row-strict"),
+        "a,2|b,5\nb,3|a,6\na,5\n\n"
+        "a,2|b,5\nb,3|a,5\na,6\n\n"
+        "a,2|b,3\nb,5|a,6\na,5\n\n"
+        "count: 3\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    TABLEAUX_TYPE_GOLDENS,
+    ids=["immaculate", "row-strict", "weak-immaculate", "weak-row-strict"],
+)
+def test_tableaux_type_exact_output(capsys, argv, expected):
+    # byte-exact, so the order of the blocks is pinned too
+    code, out, err = run_cli(capsys, "tableaux", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_graph_dot_and_csv(capsys):
     code, out, _ = run_cli(
         capsys,

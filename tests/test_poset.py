@@ -69,27 +69,82 @@ def test_inner_sentences():
     assert not poset.left_contained(("c",), ("ab", "c"))
 
 
+# (variant, dual immaculate tag, immaculate tag)
+FAMILIES = ((IMMACULATE, "DI", "IM"), (ROW_STRICT, "RSDI", "RSIM"))
+
+
 def test_skew_trivial_and_straight():
-    e = poset.skew_expand(("ab", "c"), ("ab", "c"), "M", ABC)
-    assert e == Expr.basis("M", (), ABC)
-    for j in all_sentences(AB, 3):
-        assert poset.skew_expand(j, (), "M", AB) == qsym.convert(
-            Expr.basis("DI", j, AB), "M"
-        ), j
+    for variant, dual_tag, _ in FAMILIES:
+        e = poset.skew_expand(("ab", "c"), ("ab", "c"), "M", ABC, variant)
+        assert e == Expr.basis("M", (), ABC)
+        for j in all_sentences(AB, 3):
+            assert poset.skew_expand(j, (), "M", AB, variant) == qsym.convert(
+                Expr.basis(dual_tag, j, AB), "M"
+            ), (variant, j)
 
 
 def test_skew_m_matches_pairing_definition():
-    for n in range(1, 5):
-        for i in all_sentences(AB, n):
-            for j in poset.inner_sentences(i):
-                m_route = poset.skew_expand(i, j, "M", AB)
-                s_j = nsym.convert(Expr.basis("IM", j, AB), "H")
-                di_m = qsym.convert(Expr.basis("DI", i, AB), "M")
-                for k in all_sentences(AB, n - size(j)):
-                    val = nsym.pair(
-                        nsym.product(s_j, Expr.basis("H", k, AB)), di_m
-                    )
-                    assert m_route.coefficient(k) == val, (i, j, k)
+    for variant, dual_tag, imm_tag in FAMILIES:
+        for n in range(1, 5):
+            for i in all_sentences(AB, n):
+                dual_m = qsym.convert(Expr.basis(dual_tag, i, AB), "M")
+                for j in poset.inner_sentences(i):
+                    m_route = poset.skew_expand(i, j, "M", AB, variant)
+                    s_j = nsym.convert(Expr.basis(imm_tag, j, AB), "H")
+                    for k in all_sentences(AB, n - size(j)):
+                        val = nsym.pair(
+                            nsym.product(s_j, Expr.basis("H", k, AB)), dual_m
+                        )
+                        assert m_route.coefficient(k) == val, (variant, i, j, k)
+
+
+# rows of enumerate_skew_tableaux, in list order
+SKEW_ROWS_GOLDENS = [
+    (("ab", "b", "a"), ("a",), IMMACULATE, [
+        ((None, 1), (2,), (3,)), ((None, 2), (1,), (3,)), ((None, 3), (1,), (2,)),
+        ((None, 2), (1,), (2,)), ((None, 1), (1,), (2,)),
+    ]),
+    (("ab", "b", "a"), ("a",), ROW_STRICT, [
+        ((None, 3), (1,), (2,)), ((None, 2), (1,), (3,)), ((None, 2), (1,), (2,)),
+        ((None, 2), (1,), (1,)), ((None, 1), (2,), (3,)), ((None, 1), (2,), (2,)),
+        ((None, 1), (1,), (2,)), ((None, 1), (1,), (1,)),
+    ]),
+    (("aab", "ba"), ("a", "b"), IMMACULATE, [
+        ((None, 1, 2), (None, 3)), ((None, 1, 3), (None, 2)), ((None, 1, 2), (None, 2)),
+        ((None, 1, 1), (None, 2)), ((None, 2, 3), (None, 1)), ((None, 2, 2), (None, 1)),
+        ((None, 1, 2), (None, 1)), ((None, 1, 1), (None, 1)),
+    ]),
+    (("aab", "ba"), ("a", "b"), ROW_STRICT, [
+        ((None, 2, 3), (None, 1)), ((None, 1, 3), (None, 2)), ((None, 1, 2), (None, 3)),
+        ((None, 1, 2), (None, 2)), ((None, 1, 2), (None, 1)),
+    ]),
+    (("ab", "a"), (), IMMACULATE, [
+        ((1, 2), (3,)), ((1, 3), (2,)), ((1, 2), (2,)), ((1, 1), (2,)),
+    ]),
+    (("ab", "a"), (), ROW_STRICT, [
+        ((1, 3), (2,)), ((1, 2), (3,)), ((1, 2), (2,)), ((1, 2), (1,)),
+    ]),
+    (("ab", "ba"), ("ab",), IMMACULATE, [((None, None), (1, 2)), ((None, None), (1, 1))]),
+    (("ab", "ba"), ("ab",), ROW_STRICT, [((None, None), (1, 2))]),
+    (("ab", "c"), ("ab", "c"), ROW_STRICT, [((None, None), (None,))]),
+    # an empty inner word leaves its row's first box in the first column
+    (("a", "ab", "b"), ("", "a"), IMMACULATE, [
+        ((1,), (None, 2), (3,)), ((1,), (None, 3), (2,)), ((1,), (None, 2), (2,)),
+        ((2,), (None, 1), (3,)), ((1,), (None, 1), (2,)),
+    ]),
+    (("a", "ab", "b"), ("", "a"), ROW_STRICT, [
+        ((2,), (None, 1), (3,)), ((2,), (None, 1), (2,)), ((1,), (None, 3), (2,)),
+        ((1,), (None, 2), (3,)), ((1,), (None, 2), (2,)), ((1,), (None, 2), (1,)),
+        ((1,), (None, 1), (2,)), ((1,), (None, 1), (1,)),
+    ]),
+]
+
+
+@pytest.mark.parametrize("outer,inner,variant,rows", SKEW_ROWS_GOLDENS)
+def test_skew_tableaux_rows_golden(outer, inner, variant, rows):
+    got = poset.enumerate_skew_tableaux(outer, inner, variant)
+    assert [t.rows for t in got] == rows
+    assert all(t.variant == variant for t in got)
 
 
 def test_structure_constants_examples():

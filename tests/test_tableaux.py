@@ -8,10 +8,12 @@ from cqsym.tableaux import (
     ROW_STRICT,
     Tableau,
     ell_coeff,
+    ell_columns,
     ell_table,
     enumerate_standard,
     enumerate_tableaux,
     kostka,
+    kostka_columns,
     kostka_table,
 )
 
@@ -181,7 +183,7 @@ def test_standardization_injectivity_and_refinement_characterization():
 
 def test_kostka_equals_sum_of_ell_over_coarsenings():
     for n in range(1, 6):
-        ktab = kostka_table(AB, n)
+        ktab = kostka_table(AB, n, IMMACULATE)
         ltab = ell_table(AB, n)
         for shape in ktab:
             for b, count in ktab[shape].items():
@@ -193,7 +195,7 @@ def test_kostka_table_matches_direct_enumeration():
     # the table route (standard tableaux + refinement accumulation) against
     # the independent backtracking enumerator
     for n in range(1, 5):
-        ktab = kostka_table(AB, n)
+        ktab = kostka_table(AB, n, IMMACULATE)
         for shape in all_sentences(AB, n):
             for b in all_sentences(AB, n):
                 assert ktab[shape].get(b, 0) == kostka(shape, b), (shape, b)
@@ -204,7 +206,7 @@ def test_kostka_table_rows_in_canonical_order():
     # which must be the canonical (unitriangular) order of all_sentences
     for alphabet in (AB, ABC):
         for n in range(1, 5):
-            assert list(kostka_table(alphabet, n)) == all_sentences(alphabet, n)
+            assert list(kostka_table(alphabet, n, IMMACULATE)) == all_sentences(alphabet, n)
 
 
 def test_row_strict_tables_match_direct_enumeration():
@@ -215,6 +217,17 @@ def test_row_strict_tables_match_direct_enumeration():
             for b in all_sentences(AB, n):
                 assert ktab[shape].get(b, 0) == kostka(shape, b, ROW_STRICT)
                 assert ltab[shape].get(b, 0) == ell_coeff(shape, b, ROW_STRICT)
+
+
+def test_cached_tables_take_variant_positionally():
+    # one lru_cache entry per table: a defaulted or keyword variant would
+    # make (AB, 3) and (AB, 3, IMMACULATE) two keys for the same table
+    for table in (kostka_table, kostka_columns, ell_columns):
+        with pytest.raises(TypeError):
+            table(AB, 3)
+        with pytest.raises(TypeError):
+            table(AB, 3, variant=IMMACULATE)
+        assert table(AB, 3, IMMACULATE) is table(AB, 3, IMMACULATE)
 
 
 def test_render_block():
