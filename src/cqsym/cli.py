@@ -118,7 +118,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_pieri(args) -> int:
     alphabet = _alphabet(args)
-    j = parse_sentence(args.sentence, alphabet) if args.sentence != "()" else ()
+    j = parse_sentence(args.sentence, alphabet)
     out = nsym.pieri(j, args.word, alphabet)
     _print_expr(out, args)
     return 0
@@ -142,7 +142,7 @@ def cmd_pair(args) -> int:
 def cmd_skew(args) -> int:
     alphabet = _alphabet(args)
     outer = parse_sentence(args.outer, alphabet)
-    inner = parse_sentence(args.inner, alphabet) if args.inner != "()" else ()
+    inner = parse_sentence(args.inner, alphabet)
     variant = tableaux.ROW_STRICT if args.row_strict else tableaux.IMMACULATE
     target = args.to
     if target == "DI" and variant == tableaux.ROW_STRICT:
@@ -152,27 +152,21 @@ def cmd_skew(args) -> int:
     return 0
 
 
+def _coproduct(e: Expr):
+    return nsym.coproduct_h(e) if e.tag == "H" else qsym.coproduct(e)
+
+
 def cmd_coproduct(args) -> int:
     alphabet = _alphabet(args)
-    s = parse_sentence(args.sentence, alphabet) if args.sentence != "()" else ()
-    basis = args.basis
-    if basis == "M":
-        out = qsym.coproduct(Expr.basis("M", s, alphabet))
-    elif basis in ("DI", "RSDI"):
-        variant = tableaux.IMMACULATE if basis == "DI" else tableaux.ROW_STRICT
-        out = poset.coproduct_di(s, alphabet, variant)
-    elif basis == "H":
-        out = nsym.coproduct_h(Expr.basis("H", s, alphabet))
-    else:
-        raise ValueError(f"coproduct supports bases M, DI, RSDI and H, not {basis}")
-    _print_expr(out, args)
+    s = parse_sentence(args.sentence, alphabet)
+    _print_expr(_coproduct(Expr.basis(args.basis, s, alphabet)), args)
     return 0
 
 
 def cmd_structure(args) -> int:
     alphabet = _alphabet(args)
-    left = parse_sentence(args.left, alphabet) if args.left != "()" else ()
-    right = parse_sentence(args.right, alphabet) if args.right != "()" else ()
+    left = parse_sentence(args.left, alphabet)
+    right = parse_sentence(args.right, alphabet)
     constants = poset.structure_constants(left, right, alphabet)
     out = Expr("IM", alphabet, constants)
     _print_expr(out, args)
@@ -190,8 +184,7 @@ def cmd_hopf(args) -> int:
         return 0
     e = parse(args.expr, alphabet)
     if args.op == "coproduct":
-        out = nsym.coproduct_h(e) if e.tag == "H" else qsym.coproduct(e)
-        _print_expr(out, args)
+        _print_expr(_coproduct(e), args)
         return 0
     if args.op == "antipode":
         out = nsym.antipode_h(e) if e.tag == "H" else qsym.antipode_m(e)

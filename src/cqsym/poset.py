@@ -9,6 +9,13 @@ sentence J are the standard skew tableaux of shape I/J.  The poset itself is
 infinite and never materialized beyond the requested intervals.  Skew
 tableaux are enumerated by tableaux.fillings, the filler that also serves
 straight shapes.
+
+The skew function of I/J is defined through the duality pairing: with S the
+(row-strict) immaculate basis and S* its dual, S*_{I/J} is the sum over K of
+<S_J X_K, S*_I> Y_K for any dual pair of bases (X, Y), such as (H, M), (R, F)
+or (S, S*).  Its M coefficients count the skew tableaux of shape I/J by type.
+skew_expand computes that count and converts it to the target basis; the
+pairing definition is the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -17,16 +24,8 @@ from collections import namedtuple
 
 from . import nsym, qsym
 from .exprs import Expr, TensorExpr
-from .sentences import (
-    Alphabet,
-    Sentence,
-    all_sentences,
-    containment,
-    sentence_str,
-    size,
-    word_lengths,
-)
-from .tableaux import IMMACULATE, Filling, _check_variant, fillings
+from .sentences import Alphabet, Sentence, containment, sentence_str, size, word_lengths
+from .tableaux import IMMACULATE, Filling, _check_variant, fillings, reading_type
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -49,6 +48,11 @@ def left_contained(j: Sentence, i: Sentence) -> bool:
     return containment(j, i, "left") is not None
 
 
+def _require_left_contained(j: Sentence, i: Sentence) -> None:
+    if not left_contained(j, i):
+        raise ValueError(f"{sentence_str(j)} is not left-contained in {sentence_str(i)}")
+
+
 def inner_sentences(i: Sentence) -> list:
     """All sentences left-contained in i: each takes a non-empty prefix of
     every one of the first h rows, for h = 0 .. l(i)."""
@@ -64,10 +68,7 @@ def chains(j: Sentence, i: Sentence) -> list:
     """All saturated chains from j to i in the poset, as lists of cover
     edges.  Chains stay inside the interval: every step extends a row of j
     toward the corresponding row of i or opens the next row of i."""
-    if not left_contained(j, i):
-        raise ValueError(
-            f"{sentence_str(j)} is not left-contained in {sentence_str(i)}"
-        )
+    _require_left_contained(j, i)
     total = size(i) - size(j)
     out = []
     chain = []
@@ -104,10 +105,7 @@ class SkewTableau(Filling):
     __slots__ = ("outer", "inner", "rows", "variant")
 
     def __init__(self, outer: Sentence, inner: Sentence, rows, variant: str = IMMACULATE):
-        if not left_contained(inner, outer):
-            raise ValueError(
-                f"{sentence_str(inner)} is not left-contained in {sentence_str(outer)}"
-            )
+        _require_left_contained(inner, outer)
         self.outer = tuple(outer)
         self.inner = tuple(inner)
         self.rows = tuple(tuple(r) for r in rows)
@@ -179,70 +177,35 @@ def enumerate_skew_tableaux(outer: Sentence, inner: Sentence, variant: str = IMM
     """All skew tableaux of shape outer/inner whose values form 1..g for some
     g (every value used at least once)."""
     _check_variant(variant)
-    if not left_contained(inner, outer):
-        raise ValueError(
-            f"{sentence_str(inner)} is not left-contained in {sentence_str(outer)}"
-        )
+    _require_left_contained(inner, outer)
     return [SkewTableau(outer, inner, rows, variant) for rows in fillings(outer, inner, variant)]
 
 
 # ---------------------------------------------------------------------------
 # skew expansions, structure constants, coproduct
 
-def _imm_expr(j: Sentence, alphabet: Alphabet, variant: str) -> Expr:
-    """The (row-strict) immaculate function of j in the H basis."""
-    if variant == IMMACULATE:
-        return nsym.convert(Expr.basis("IM", j, alphabet), "H")
-    return nsym.convert(Expr.basis("RSIM", j, alphabet), "H")
-
-
 def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, variant: str = IMMACULATE) -> Expr:
     """The skew (row-strict) dual immaculate function of shape i/j in the M,
-    F, DI or RSDI basis.  M coefficients count skew tableaux by type; F and
-    dual-immaculate coefficients come from the duality pairing."""
+    F, DI or RSDI basis: the skew tableaux of shape i/j counted by type give
+    the M expansion, which is converted to the target."""
     _check_variant(variant)
-    if not left_contained(j, i):
-        raise ValueError(
-            f"{sentence_str(j)} is not left-contained in {sentence_str(i)}"
-        )
+    _require_left_contained(j, i)
     dual_tag = "DI" if variant == IMMACULATE else "RSDI"
     if target not in ("M", "F", dual_tag):
         raise ValueError(
             f"skew target must be M, F or {dual_tag} for the {variant} variant"
         )
-    m = size(i) - size(j)
-    if target == "M":
-        out = Expr("M", alphabet)
-        for t in enumerate_skew_tableaux(i, j, variant):
-            out.add_term(t.type_(), 1)
-        return out
-    # pairing routes: sum over K of <S_J X_K, S*_I> for X = R or the
-    # immaculate family itself, all restricted to |K| = |I| - |J|
-    s_j = _imm_expr(j, alphabet, variant)
-    dual_m = qsym.convert(Expr.basis(dual_tag, i, alphabet), "M").terms
-    out = Expr(target, alphabet)
-    for k in all_sentences(alphabet, m):
-        if target == "F":
-            right = nsym.convert(Expr.basis("R", k, alphabet), "H")
-        else:
-            right = _imm_expr(k, alphabet, variant)
-        coef = 0
-        for p, cp in s_j.terms.items():
-            for q, cq in right.terms.items():
-                c = dual_m.get(p + q)
-                if c:
-                    coef += cp * cq * c
-        out.add_term(k, coef)
-    return out
+    out = Expr("M", alphabet)
+    for rows in fillings(i, j, variant):
+        out.add_term(reading_type(i, rows, variant), 1)
+    return qsym.convert(out, target)
 
 
 def structure_constants(j: Sentence, k: Sentence, alphabet: Alphabet) -> dict:
     """Coefficients of the immaculate expansion of the product of the
     immaculate functions of j and k, computed through the H basis."""
     prod = nsym.product(
-        nsym.convert(Expr.basis("IM", j, alphabet), "H"),
-        nsym.convert(Expr.basis("IM", k, alphabet), "H"),
-        target="IM",
+        Expr.basis("IM", j, alphabet), Expr.basis("IM", k, alphabet), target="IM"
     )
     return dict(prod.terms)
 

@@ -84,14 +84,22 @@ class Filling:
 
     def type_(self) -> Sentence:
         """Weak sentence of color words per value, trailing empties trimmed."""
-        diagram = self._diagram()
-        top = max(self._values(), default=0)
-        words = []
-        for v in range(1, top + 1):
-            words.append("".join(diagram[i][j] for i, j in self.boxes_of_value(v)))
-        while words and not words[-1]:
-            words.pop()
-        return tuple(words)
+        return reading_type(self._diagram(), self.rows, self.variant)
+
+
+def reading_type(diagram: Sentence, rows, variant: str) -> Sentence:
+    """The type of a filling of the diagram: the word of value v spells the
+    colors of v's boxes, rows read in the variant's type order (bottom row
+    first for immaculate, top row first for row-strict), each left to right.
+    Values run 1 .. the largest entry, and None boxes hold no value."""
+    words = {}
+    order = range(len(rows) - 1, -1, -1) if variant == IMMACULATE else range(len(rows))
+    for i in order:
+        colors = diagram[i]
+        for j, v in enumerate(rows[i]):
+            if v is not None:
+                words[v] = words.get(v, "") + colors[j]
+    return tuple(words.get(v, "") for v in range(1, max(words, default=0) + 1))
 
 
 class Tableau(Filling):

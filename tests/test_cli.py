@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +251,49 @@ def test_coproduct_command(capsys):
     assert "RSDI[()] @ RSDI[ab]" in out and "RSDI[ab] @ RSDI[()]" in out
 
 
+SKEW_COPRODUCT_GOLDENS = [
+    (
+        ("skew", "--alphabet", "ab", "--outer", "aba,bab", "--inner", "ab", "--to", "DI"),
+        "DI[baba] + DI[baa,b] + DI[ba,ab] - DI[ba,ba] + DI[a,bab] - DI[b,aba]"
+        " - DI[b,aa,b] + DI[b,ba,a] + DI[b,a,ba] - DI[b,b,aa]\n",
+    ),
+    (
+        ("skew", "--alphabet", "ab", "--outer", "aba,bab", "--inner", "ab", "--to", "F",
+         "--row-strict"),
+        "F[ab,a,b] + F[b,aa,b] + F[b,a,ab] + F[b,a,b,a]\n",
+    ),
+    (
+        ("skew", "--alphabet", "abc", "--outer", "ab,cab", "--inner", "a,c", "--to", "DI",
+         "--row-strict"),
+        "RSDI[abb] + RSDI[ab,b] - RSDI[a,bb] + RSDI[b,ab]\n",
+    ),
+    (
+        ("coproduct", "--alphabet", "ab", "--basis", "RSDI", "--sentence", "ab,ba"),
+        "RSDI[()] @ RSDI[ab,ba] + RSDI[a] @ RSDI[bab] + RSDI[a] @ RSDI[bb,a]"
+        " - RSDI[a] @ RSDI[b,ab] + RSDI[a] @ RSDI[b,ba] + RSDI[ab] @ RSDI[ba]"
+        " + RSDI[a,b] @ RSDI[ab] + RSDI[a,b] @ RSDI[b,a] + RSDI[ab,b] @ RSDI[a]"
+        " + RSDI[a,ba] @ RSDI[b] + RSDI[ab,ba] @ RSDI[()]\n",
+    ),
+    (
+        ("coproduct", "--alphabet", "abc", "--basis", "DI", "--sentence", "ab,c", "--json"),
+        '{"tags": ["DI", "DI"], "terms": [{"left": "()", "right": "ab,c", "coef": "1"}, '
+        '{"left": "a", "right": "cb", "coef": "1"}, {"left": "a", "right": "b,c", "coef": "1"}, '
+        '{"left": "ab", "right": "c", "coef": "1"}, {"left": "a,c", "right": "b", "coef": "1"}, '
+        '{"left": "ab,c", "right": "()", "coef": "1"}]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    SKEW_COPRODUCT_GOLDENS,
+    ids=["skew-di", "skew-f-row-strict", "skew-rsdi", "coproduct-rsdi", "coproduct-di-json"],
+)
+def test_skew_coproduct_exact_output(capsys, argv, expected):
+    # non-trivial inner shapes, so the skew conversion is pinned byte for byte
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_structure_command(capsys):
     code, out, _ = run_cli(
         capsys, "structure", "--alphabet", "abc", "--left", "ab", "--right", "c"
@@ -338,3 +383,13 @@ def test_output_determinism(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_readme_cli_lines_run(capsys):
+    # every example in the README's CLI block still runs and exits 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("cqsym ")]
+    assert lines
+    for line in lines:
+        assert run_cli(capsys, *shlex.split(line, comments=True)[1:])[0] == 0, line

@@ -84,18 +84,23 @@ def test_skew_trivial_and_straight():
 
 
 def test_skew_m_matches_pairing_definition():
+    # the definition: the Y_K coefficient of the skew function of I/J is
+    # <S_J X_K, S*_I> for dual bases (X, Y): (H, M) up to degree 4, and
+    # (R, F) and the immaculate family with its dual up to degree 3
     for variant, dual_tag, imm_tag in FAMILIES:
         for n in range(1, 5):
+            duals = (("H", "M"),) if n > 3 else (("H", "M"), ("R", "F"), (imm_tag, dual_tag))
             for i in all_sentences(AB, n):
                 dual_m = qsym.convert(Expr.basis(dual_tag, i, AB), "M")
                 for j in poset.inner_sentences(i):
-                    m_route = poset.skew_expand(i, j, "M", AB, variant)
                     s_j = nsym.convert(Expr.basis(imm_tag, j, AB), "H")
-                    for k in all_sentences(AB, n - size(j)):
-                        val = nsym.pair(
-                            nsym.product(s_j, Expr.basis("H", k, AB)), dual_m
-                        )
-                        assert m_route.coefficient(k) == val, (variant, i, j, k)
+                    for x_tag, y_tag in duals:
+                        skew = poset.skew_expand(i, j, y_tag, AB, variant)
+                        for k in all_sentences(AB, n - size(j)):
+                            val = nsym.pair(
+                                nsym.product(s_j, Expr.basis(x_tag, k, AB)), dual_m
+                            )
+                            assert skew.coefficient(k) == val, (variant, i, j, y_tag, k)
 
 
 # rows of enumerate_skew_tableaux, in list order
