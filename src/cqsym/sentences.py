@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 Word = str
@@ -118,7 +119,7 @@ def maximal_word(s: Sentence) -> Word:
 
 
 def word_lengths(s: Sentence) -> tuple:
-    return tuple(len(w) for w in s)
+    return tuple(map(len, s))
 
 
 def flatten(s: Sentence) -> Sentence:
@@ -144,6 +145,13 @@ def from_splits(word: Word, positions: Iterable[int]) -> Sentence:
 
 # ---------------------------------------------------------------------------
 # refinement order
+#
+# The refinements and coarsenings of a sentence, and their canonical order
+# (one maximal word, so reverse-lex on word lengths), depend on its word
+# lengths alone.  So each composition has two plans, built once and already
+# in that order: the slice tuples that cut its maximal word into each
+# refinement, or coarsening.  1,024 plans hold every composition of size at
+# most 10, the empty one included.
 
 def is_refinement(i: Sentence, j: Sentence) -> bool:
     """True iff j can be obtained by merging adjacent words of i."""
@@ -153,26 +161,39 @@ def is_refinement(i: Sentence, j: Sentence) -> bool:
 def coarsenings(i: Sentence) -> list:
     """All sentences obtained by merging adjacent words of i, i included."""
     w = maximal_word(i)
-    base = sorted(split_positions(i))
-    out = []
-    for r in range(len(base) + 1):
-        for keep in itertools.combinations(base, r):
-            out.append(from_splits(w, keep))
-    out.sort(key=_wl_key)
-    return out
+    return [tuple(map(w.__getitem__, plan)) for plan in _coarsening_plans(word_lengths(i))]
 
 
 def refinements(i: Sentence) -> list:
     """All sentences obtained by splitting words of i further, i included."""
     w = maximal_word(i)
-    base = split_positions(i)
-    free = [p for p in range(1, len(w)) if p not in base]
+    return [tuple(map(w.__getitem__, plan)) for plan in _refinement_plans(word_lengths(i))]
+
+
+@lru_cache(maxsize=1024)
+def _refinement_plans(lengths: tuple) -> tuple:
+    return _plans(lengths, lambda split, base: (split & base) == base)
+
+
+@lru_cache(maxsize=1024)
+def _coarsening_plans(lengths: tuple) -> tuple:
+    return _plans(lengths, lambda split, base: (split | base) == base)
+
+
+def _plans(lengths: tuple, keep) -> tuple:
+    """Plans of the split sets that keep(split, base) admits, base being the
+    splits of lengths; bit p-1 marks a split after position p."""
+    n = sum(lengths)
+    if not n:
+        return ((),)
+    base = sum(1 << (p - 1) for p in itertools.accumulate(lengths[:-1]))
     out = []
-    for r in range(len(free) + 1):
-        for extra in itertools.combinations(free, r):
-            out.append(from_splits(w, base.union(extra)))
-    out.sort(key=_wl_key)
-    return out
+    for split in range(1 << (n - 1)):
+        if keep(split, base):
+            cuts = [0] + [p for p in range(1, n) if split >> (p - 1) & 1] + [n]
+            out.append(tuple(map(slice, cuts, cuts[1:])))
+    out.sort(key=lambda plan: [s.start - s.stop for s in plan])
+    return tuple(out)
 
 
 def mobius(j: Sentence, i: Sentence) -> int:
@@ -299,10 +320,6 @@ def weak_splits(word: Word, parts: int) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # canonical order: grade by size, reverse-lex on word lengths, then the
 # alphabet's lexicographic order on maximal words, then split sets
-
-def _wl_key(s: Sentence) -> tuple:
-    return (size(s), tuple(-len(w) for w in s))
-
 
 def canonical_key(s: Sentence, alphabet: Alphabet):
     return (

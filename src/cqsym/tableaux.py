@@ -25,12 +25,16 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 
 from .sentences import (
     Alphabet,
     Sentence,
-    all_sentences,
+    all_compositions,
+    all_words,
     flatten,
+    maximal_word,
     refinements,
     sentence_str,
     size,
@@ -210,65 +214,83 @@ class Tableau(Filling):
 #
 # A standard filling is determined by the sequence of rows receiving the
 # values 1, 2, ..., n: rows fill left to right, and the first-column rule
-# says exactly that row i+1 must not open before row i.
+# says exactly that row i+1 must not open before row i.  So the fillings
+# depend only on the word lengths.  Each value t < n is a descent of exactly
+# one variant: immaculate when t+1 sits in a lower row, row-strict otherwise.
 
-def _row_sequences(lengths: tuple):
-    k = len(lengths)
-    n = sum(lengths)
-    seq = []
-    remaining = list(lengths)
+def _standard_walk(lengths: tuple, visit) -> None:
+    """Call visit(perm, imm, rs) once per standard filling, in a fixed
+    order: perm[t] is the position in the maximal word of the box holding
+    t+1, and imm and rs cut the reading word (0 first, n last) after each
+    immaculate and each row-strict descent.  perm is reused between calls."""
+    k, n = len(lengths), sum(lengths)
+    ends = list(accumulate(lengths))
+    free = [0] + ends[:-1]  # the next box of each row
+    perm, imm, rs = [], [0], [0]
 
-    def rec(opened: int):
-        if len(seq) == n:
-            yield tuple(seq)
+    def rec(t: int, prev: int, opened: int) -> None:
+        if t == n:
+            visit(perm, imm + [n], rs + [n])
             return
-        limit = min(opened + 1, k)
-        for r in range(limit):
-            if remaining[r] == 0:
+        for r in range(min(opened + 1, k)):
+            p = free[r]
+            if p == ends[r]:
                 continue
-            remaining[r] -= 1
-            seq.append(r)
-            yield from rec(max(opened, r + 1))
-            seq.pop()
-            remaining[r] += 1
+            free[r] = p + 1
+            perm.append(p)
+            cuts = imm if r > prev else rs
+            cuts.append(t)
+            rec(t + 1, r, max(opened, r + 1))
+            cuts.pop()
+            perm.pop()
+            free[r] = p
 
-    yield from rec(0)
+    first = min(n, 1)  # value 1, if any, opens row 0 and follows no descent
+    if first:
+        free[0] = 1
+        perm.append(0)
+    rec(first, 0, first)
 
 
-def _tableau_from_row_sequence(shape: Sentence, seq: tuple, variant: str) -> Tableau:
-    rows = [[] for _ in shape]
-    for t, r in enumerate(seq, start=1):
-        rows[r].append(t)
-    return Tableau(shape, rows, variant)
+def _row_slices(lengths: tuple) -> tuple:
+    ends = list(accumulate(lengths))
+    return tuple(map(slice, [0] + ends, ends))
 
 
 def enumerate_standard(shape: Sentence, variant: str = IMMACULATE) -> list:
     """All standard tableaux of the shape.  The integer fillings coincide for
     the two variants; only the recorded variant (hence descent data) differs."""
     _check_variant(variant)
-    return [
-        _tableau_from_row_sequence(shape, seq, variant)
-        for seq in _row_sequences(word_lengths(shape))
-    ]
-
-
-def _descent_compositions_of_shape(shape: Sentence):
-    """Yield (immaculate co, row-strict co) for every standard filling."""
     lengths = word_lengths(shape)
-    for seq in _row_sequences(lengths):
-        cols = []
-        seen = [0] * len(shape)
-        for r in seq:
-            cols.append(seen[r])
-            seen[r] += 1
-        word = "".join(shape[r][c] for r, c in zip(seq, cols))
-        des = [t for t in range(1, len(seq)) if seq[t] > seq[t - 1]]
-        cuts = [0] + des + [len(word)]
-        co = tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
-        des_rs = [t for t in range(1, len(seq)) if seq[t] <= seq[t - 1]]
-        cuts = [0] + des_rs + [len(word)]
-        co_rs = tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
-        yield co, co_rs
+    rows = _row_slices(lengths)
+    out = []
+
+    def visit(perm, imm, rs):
+        values = [0] * len(perm)
+        for t, p in enumerate(perm, 1):
+            values[p] = t
+        out.append(Tableau(shape, [values[r] for r in rows], variant))
+
+    _standard_walk(lengths, visit)
+    return out
+
+
+def _descent_data(lengths: tuple, words: list) -> list:
+    """(immaculate, row-strict) Counters of descent compositions of the
+    shape of each maximal word, all colored at each step of one walk."""
+    pairs = [(Counter(), Counter()) for _ in words]
+
+    def visit(perm, imm, rs):
+        read = itemgetter(*perm) if perm else lambda word: ""
+        imm_words = tuple(map(slice, imm, imm[1:]))
+        rs_words = tuple(map(slice, rs, rs[1:]))
+        for word, (imm_counts, rs_counts) in zip(words, pairs):
+            reading = "".join(read(word))
+            imm_counts[tuple(map(reading.__getitem__, imm_words))] += 1
+            rs_counts[tuple(map(reading.__getitem__, rs_words))] += 1
+
+    _standard_walk(lengths, visit)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +386,29 @@ def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int
     """Number of standard tableaux of the shape whose colored descent
     composition (of the variant) equals comp."""
     index = _variant_index(variant)
-    return sum(1 for pair in _descent_compositions_of_shape(shape) if pair[index] == comp)
+    return _descent_data(word_lengths(shape), [maximal_word(shape)])[0][index][comp]
 
 
 # ---------------------------------------------------------------------------
 # per-degree transition tables
 #
 # standard_data(alphabet, n)[shape] is a pair of Counters over descent
-# compositions: index 0 immaculate, index 1 row-strict.  The Kostka rows are
-# accumulated from them: K[J][B] counts standard fillings whose descent
-# composition coarsens B.  The cached tables take the variant positionally
-# and without a default, so each table has one cache key.
+# compositions: index 0 immaculate, index 1 row-strict.  It walks the
+# standard fillings of each composition of n once, keeping none of them, and
+# colors every shape of that composition at each: the reading word is the
+# shape's maximal word at the filling's positions, cut at its descents.  The
+# Kostka rows are accumulated from the pairs: K[J][B] counts standard
+# fillings whose descent composition coarsens B.  The cached tables take the
+# variant positionally and without a default, so each table has one cache key.
 
 @lru_cache(maxsize=None)
 def standard_data(alphabet: Alphabet, n: int) -> dict:
     out = {}
-    for shape in all_sentences(alphabet, n):
-        imm = Counter()
-        rs = Counter()
-        for co, co_rs in _descent_compositions_of_shape(shape):
-            imm[co] += 1
-            rs[co_rs] += 1
-        out[shape] = (imm, rs)
+    words = all_words(alphabet, n)
+    for lengths in all_compositions(n):
+        rows = _row_slices(lengths)
+        shapes = [tuple(map(word.__getitem__, rows)) for word in words]
+        out.update(zip(shapes, _descent_data(lengths, words)))
     return out
 
 

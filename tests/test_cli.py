@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -115,6 +116,63 @@ def test_tableaux_type_exact_output(capsys, argv, expected):
     # byte-exact, so the order of the blocks is pinned too
     code, out, err = run_cli(capsys, "tableaux", *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+# captured from the row-sequence enumerator that the standard-filling walk
+# replaced, so the order of the fillings is pinned too
+TABLEAUX_STANDARD_GOLDENS = [
+    (
+        ("--alphabet", "ab", "--shape", "aab,ab", "--standard"),
+        "a,1|a,2|b,3\na,4|b,5\n\n"
+        "a,1|a,2|b,4\na,3|b,5\n\n"
+        "a,1|a,2|b,5\na,3|b,4\n\n"
+        "a,1|a,3|b,4\na,2|b,5\n\n"
+        "a,1|a,3|b,5\na,2|b,4\n\n"
+        "a,1|a,4|b,5\na,2|b,3\n\n"
+        "count: 6\n",
+    ),
+    (
+        ("--alphabet", "abc", "--shape", "ab,c,ba", "--standard", "--row-strict"),
+        "a,1|b,2\nc,3\nb,4|a,5\n\n"
+        "a,1|b,3\nc,2\nb,4|a,5\n\n"
+        "a,1|b,4\nc,2\nb,3|a,5\n\n"
+        "a,1|b,5\nc,2\nb,3|a,4\n\n"
+        "count: 4\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", TABLEAUX_STANDARD_GOLDENS, ids=["immaculate", "row-strict"]
+)
+def test_tableaux_standard_exact_output(capsys, argv, expected):
+    assert run_cli(capsys, "tableaux", *argv) == (0, expected, "")
+
+
+# sha256 of the whole-degree outputs, unchanged since the first release
+FULL_TABLE_HASHES = [
+    (
+        ("coeffs", "--degree", "9", "--uncolored"),
+        "10efffb628982c684be6ced4464a6d7ab84b6b5b1198fc1adb9a3596e4abd210",
+    ),
+    (
+        ("coeffs", "--alphabet", "ab", "--degree", "6"),
+        "0cf743fc53812a5aafa41860291b22c9845d772da7473d8b07ed773f7a5cffac",
+    ),
+    (
+        ("graph", "--alphabet", "ab", "--degree", "6", "--format", "csv"),
+        "d880bf8d6fce35e491e4cf095c0fdcdf8e5c16d265a05a13611a6cc4d1e7a7a0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FULL_TABLE_HASHES, ids=["coeffs-uncolored-9", "coeffs-ab-6", "graph-ab-6"]
+)
+def test_full_table_output_hashes(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_graph_dot_and_csv(capsys):

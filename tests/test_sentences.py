@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cqsym import cli, descent_graph, exprs, nsym, poset, qsym, sentences, tableaux, verify
 from cqsym.sentences import (
     Alphabet,
     all_compositions,
@@ -11,6 +12,7 @@ from cqsym.sentences import (
     coarsenings,
     complement,
     containment,
+    from_splits,
     is_refinement,
     mobius,
     parse_sentence,
@@ -22,6 +24,7 @@ from cqsym.sentences import (
     sentence_count,
     sentence_str,
     size,
+    split_positions,
     word_lengths,
 )
 
@@ -66,6 +69,74 @@ def test_refinements_example():
     assert set(refinements(("abc",))) == {("abc",), ("a", "bc"), ("ab", "c"), ("a", "b", "c")}
     assert refinements(()) == [()]
     assert coarsenings(()) == [()]
+
+
+def _reference_coarsenings(i):
+    # merge every subset of the splits, then sort by word lengths
+    w = "".join(i)
+    base = sorted(split_positions(i))
+    out = []
+    for r in range(len(base) + 1):
+        for keep in itertools.combinations(base, r):
+            out.append(from_splits(w, keep))
+    out.sort(key=lambda s: tuple(-len(x) for x in s))
+    return out
+
+
+def _reference_refinements(i):
+    # add every subset of the free positions to the splits, then sort
+    w = "".join(i)
+    base = split_positions(i)
+    free = [p for p in range(1, len(w)) if p not in base]
+    out = []
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            out.append(from_splits(w, base.union(extra)))
+    out.sort(key=lambda s: tuple(-len(x) for x in s))
+    return out
+
+
+def test_refinement_and_coarsening_order():
+    # the lists themselves, order included: callers that render or
+    # back-substitute read them in this canonical order
+    for alphabet, top in ((AB, 6), (ABC, 4)):
+        for n in range(top + 1):
+            for i in all_sentences(alphabet, n):
+                assert refinements(i) == _reference_refinements(i), i
+                assert coarsenings(i) == _reference_coarsenings(i), i
+    assert refinements(()) == _reference_refinements(()) == [()]
+    assert coarsenings(()) == _reference_coarsenings(()) == [()]
+
+
+def test_plan_caches_are_bounded():
+    # every composition of size at most 10 (the empty one included) fits in
+    # each plan cache, so a long-lived process never evicts and never grows past it
+    plans = (sentences._refinement_plans, sentences._coarsening_plans)
+    for cache in plans:
+        cache.cache_clear()
+    compositions = [c for n in range(11) for c in all_compositions(n)]
+    assert len(compositions) == 1024
+    for comp in compositions:
+        s = tuple("a" * p for p in comp)
+        refinements(s)
+        coarsenings(s)
+    for cache in plans:
+        info = cache.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize == info.misses == 1024
+
+
+def test_unbounded_caches_do_not_grow_in_number():
+    # a cache without maxsize grows for as long as the process lives
+    unbounded = [
+        f"{module.__name__}.{name}"
+        for module in (cli, descent_graph, exprs, nsym, poset, qsym, sentences, tableaux, verify)
+        for name, fn in vars(module).items()
+        if getattr(fn, "__module__", None) == module.__name__
+        and hasattr(fn, "cache_info")
+        and fn.cache_info().maxsize is None
+    ]
+    assert len(unbounded) <= 7, unbounded
 
 
 def test_refinement_coarsening_galois():

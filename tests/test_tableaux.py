@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from cqsym.tableaux import (
     kostka,
     kostka_columns,
     kostka_table,
+    standard_data,
 )
 
 AB = Alphabet("ab")
@@ -217,6 +219,31 @@ def test_row_strict_tables_match_direct_enumeration():
             for b in all_sentences(AB, n):
                 assert ktab[shape].get(b, 0) == kostka(shape, b, ROW_STRICT)
                 assert ltab[shape].get(b, 0) == ell_coeff(shape, b, ROW_STRICT)
+
+
+def test_standard_data_matches_tableau_descent_compositions():
+    # the per-composition walk, colored shape by shape, against the
+    # tableaux themselves: both variants, and Counter order = filling order
+    for alphabet, top in ((AB, 5), (ABC, 4)):
+        for n in range(1, top + 1):
+            data = standard_data(alphabet, n)
+            shapes = all_sentences(alphabet, n)
+            assert list(data) == shapes
+            for shape, pair in data.items():
+                for index, variant in enumerate((IMMACULATE, ROW_STRICT)):
+                    want = Counter(
+                        t.descent_composition() for t in enumerate_standard(shape, variant)
+                    )
+                    assert list(pair[index].items()) == list(want.items()), (shape, variant)
+                    for comp, count in want.items():
+                        assert ell_coeff(shape, comp, variant) == count
+                    missing = next(b for b in shapes if b not in want)
+                    assert ell_coeff(shape, missing, variant) == 0
+
+
+def test_standard_data_degree_zero():
+    # the empty filling: one reading word "", cut nowhere
+    assert standard_data(AB, 0) == {(): (Counter({("",): 1}), Counter({("",): 1}))}
 
 
 def test_cached_tables_take_variant_positionally():
