@@ -78,7 +78,8 @@ def build(n: int, alphabet: Alphabet, variant: str = IMMACULATE, cap: int = DEFA
             f"{count} vertices, above the cap {cap}"
         )
     rows = ell_table(alphabet, n, variant)
-    vertices = sort_sentences(rows.keys(), alphabet)
+    # standard_data yields its shapes in canonical order already
+    vertices = list(rows)
     edges = {}
     acyclic = True
     for i, counter in rows.items():

@@ -83,6 +83,11 @@ def row_route(out_tag: str, row):
     return route
 
 
+def chain(first, second):
+    """The conversion that applies the route first, then the route second."""
+    return lambda e: second(first(e))
+
+
 def _norm_coef(c):
     """Keep integral values as int; Fractions stay exact."""
     # most coefficients are ints, and the exact type test skips the ABC

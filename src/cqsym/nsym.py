@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 from . import descent_graph as dg
 from . import qsym
-from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, chain, require_side, row_route, side_converter
 from .sentences import (
     Alphabet,
     Sentence,
@@ -34,7 +34,7 @@ from .sentences import (
     suffix_removals,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, ell_columns, kostka_columns
+from .tableaux import IMMACULATE, ROW_STRICT, ell_columns
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +153,28 @@ _e_to_h = partial(_signed_refinement_sum, out_tag="H")
 _h_to_e = partial(_signed_refinement_sum, out_tag="E")
 
 
-def _kostka_column(variant):
-    return lambda alphabet, j: kostka_columns(alphabet, size(j), variant).get(j, {})
+def _e_to_r(e: Expr) -> Expr:
+    # E_J is the sum of the ribbons over the refinements of complement(J)
+    out = Expr("R", e.alphabet)
+    for i, c in e.terms.items():
+        for j in refinements(complement(i)):
+            out.add_term(j, c)
+    return out
 
 
 def _ell_column(variant):
     return lambda alphabet, j: ell_columns(alphabet, size(j), variant).get(j, {})
 
 
-_h_to_im = row_route("IM", _kostka_column(IMMACULATE))
-_e_to_rsim = row_route("RSIM", _kostka_column(IMMACULATE))
-_h_to_rsim = row_route("RSIM", _kostka_column(ROW_STRICT))
-_e_to_im = row_route("IM", _kostka_column(ROW_STRICT))
+# R_C is the sum over shapes J of L[J][C] IM_J (the transpose of DI -> F).
+# H and E reach IM and RSIM through R, so no route builds the Kostka columns
+# (the coarsening map H -> R composed with these L columns).
 _r_to_im = row_route("IM", _ell_column(IMMACULATE))
 _r_to_rsim = row_route("RSIM", _ell_column(ROW_STRICT))
+_h_to_im = chain(_h_to_r, _r_to_im)
+_h_to_rsim = chain(_h_to_r, _r_to_rsim)
+_e_to_im = chain(_e_to_r, _r_to_im)
+_e_to_rsim = chain(_e_to_r, _r_to_rsim)
 
 
 def _im_to_h(e: Expr) -> Expr:
@@ -208,6 +216,7 @@ _ROUTES = {
     ("H", "R"): _h_to_r,
     ("E", "H"): _e_to_h,
     ("H", "E"): _h_to_e,
+    ("E", "R"): _e_to_r,
     ("H", "IM"): _h_to_im,
     ("E", "IM"): _e_to_im,
     ("R", "IM"): _r_to_im,

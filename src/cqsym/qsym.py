@@ -2,10 +2,11 @@
 dual immaculate) bases, conversions, Hopf operations, the psi involution,
 uncoloring, and a truncated polynomial realization used as a product oracle.
 
-Every cross-basis route pivots through M; the direct single-step routes are
-the tableau expansions (DI/RSDI into M and F), the Mobius pair M <-> F, the
-descent-graph inversion F -> DI, and its complement twin F -> RSDI.  M -> DI
-is unitriangular back-substitution against the Kostka matrix per degree.
+Every cross-basis route pivots through M.  The single-step routes are the
+tableau expansions DI/RSDI -> F (the L rows of the standard data), the
+Mobius pair M <-> F, the descent-graph inversion F -> DI, and its complement
+twin F -> RSDI.  The routes between M and DI/RSDI compose these through F,
+so no route builds the Kostka matrix (L composed with F -> M).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from collections import Counter
 
 from . import descent_graph as dg
-from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, chain, require_side, row_route, side_converter
 from .sentences import (
     coarsenings,
     complement,
@@ -24,7 +25,7 @@ from .sentences import (
     size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, _variant_index, kostka_table, standard_data
+from .tableaux import IMMACULATE, ROW_STRICT, _variant_index, standard_data
 
 
 # single-step routes ---------------------------------------------------
@@ -44,10 +45,6 @@ def _m_to_f(e: Expr) -> Expr:
         for j in refinements(i):
             out.add_term(j, -c if (len(j) - li) % 2 else c)
     return out
-
-
-_di_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), IMMACULATE)[j])
-_rsdi_to_m = row_route("M", lambda alphabet, j: kostka_table(alphabet, size(j), ROW_STRICT)[j])
 
 
 # one shape's L row, read from the cached standard data (ell_table would
@@ -70,37 +67,12 @@ _f_to_rsdi = row_route(
 )
 
 
-def _m_to_di(e: Expr) -> Expr:
-    """Back-substitute against the unitriangular Kostka matrix, degree by
-    degree in canonical order."""
-    out = Expr("DI", e.alphabet)
-    for n, part in e.degrees().items():
-        if n == 0:
-            out.add_term((), part[()])
-            continue
-        table = kostka_table(e.alphabet, n, IMMACULATE)
-        remaining = dict(part)
-        # the table is built over all_sentences, already in canonical order
-        for j in table:
-            c = remaining.get(j, 0)
-            if not c:
-                continue
-            out.add_term(j, c)
-            for b, count in table[j].items():
-                new = remaining.get(b, 0) - c * count
-                if new:
-                    remaining[b] = new
-                else:
-                    remaining.pop(b, None)
-        if remaining:
-            raise ArithmeticError("Kostka back-substitution left a remainder")
-    return out
-
-
-def _m_to_rsdi(e: Expr) -> Expr:
-    # the row-strict Kostka matrix has zero diagonal entries, so there is no
-    # unitriangular order to back-substitute in; go through F instead
-    return _f_to_rsdi(_m_to_f(e))
+# the Kostka routes, read through F: K = L composed with F -> M, and its
+# inverse is M -> F followed by the inverse of L
+_di_to_m = chain(_di_to_f, _f_to_m)
+_rsdi_to_m = chain(_rsdi_to_f, _f_to_m)
+_m_to_di = chain(_m_to_f, _f_to_di)
+_m_to_rsdi = chain(_m_to_f, _f_to_rsdi)
 
 
 _ROUTES = {

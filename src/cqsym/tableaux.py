@@ -398,8 +398,11 @@ def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int
 # colors every shape of that composition at each: the reading word is the
 # shape's maximal word at the filling's positions, cut at its descents.  The
 # Kostka rows are accumulated from the pairs: K[J][B] counts standard
-# fillings whose descent composition coarsens B.  The cached tables take the
-# variant positionally and without a default, so each table has one cache key.
+# fillings whose descent composition coarsens B.  kostka_table and
+# kostka_columns are reference views for the tests: no conversion route calls
+# them, since each reads L and the refinement or coarsening map instead.  The
+# cached tables take the variant positionally and without a default, so each
+# table has one cache key.
 
 @lru_cache(maxsize=None)
 def standard_data(alphabet: Alphabet, n: int) -> dict:

@@ -60,6 +60,15 @@ def test_dag_certificate():
                 assert word_lengths(j) < word_lengths(i), (i, j)
 
 
+def test_build_vertices_in_canonical_order():
+    # build lists its vertices in the shape order of the standard data,
+    # unsorted, so that order must already be canonical
+    for alphabet, top in ((AB, 5), (ABC, 4)):
+        for n in range(1, top + 1):
+            for variant in (IMMACULATE, ROW_STRICT):
+                assert dg.build(n, alphabet, variant).vertices == all_sentences(alphabet, n)
+
+
 def test_vertex_cap():
     with pytest.raises(ValueError):
         dg.build(5, ABC, cap=100)

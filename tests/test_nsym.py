@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from cqsym import nsym, qsym
-from cqsym.exprs import Expr, UncoloredExpr, parse
-from cqsym.sentences import Alphabet, all_sentences, all_words, complement, refinements
-from cqsym.tableaux import kostka
+from cqsym.exprs import Expr, UncoloredExpr, parse, row_route
+from cqsym.sentences import Alphabet, all_sentences, all_words, complement, refinements, size
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, kostka, kostka_columns
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -82,6 +83,34 @@ def test_h_to_im_coefficients_are_kostka():
     assert e.coefficient(("a", "cb", "b")) == 1
 
 
+# H and E reach IM and RSIM through R.  The routes they replaced read the
+# columns of the Kostka tables: H_B is the sum of K[J][B] IM_J, and psi sends
+# it to E_B as the sum of K[J][B] RSIM_J; the row-strict table gives the
+# other two.
+_KOSTKA_COLUMN_ROUTES = {
+    ("H", "IM"): IMMACULATE,
+    ("E", "RSIM"): IMMACULATE,
+    ("H", "RSIM"): ROW_STRICT,
+    ("E", "IM"): ROW_STRICT,
+}
+
+
+def _kostka_column(variant):
+    return lambda alphabet, j: kostka_columns(alphabet, size(j), variant).get(j, {})
+
+
+def test_h_and_e_to_immaculate_match_the_kostka_columns():
+    cases = [(alphabet, {s: 1}) for alphabet, top in ((AB, 5), (ABC, 4))
+             for n in range(top + 1) for s in all_sentences(alphabet, n)]
+    cases.append((ABC, {(): Fraction(-3, 4), ("c",): 2, ("ab", "c"): Fraction(5, 3),
+                        ("a", "bc"): -1, ("ca", "b", "a"): 7, ("abc", "ba"): Fraction(1, 2)}))
+    for (src, dst), variant in _KOSTKA_COLUMN_ROUTES.items():
+        reference = row_route(dst, _kostka_column(variant))
+        for alphabet, terms in cases:
+            e = Expr(src, alphabet, terms)
+            assert nsym.convert(e, dst) == reference(e), (src, dst, terms)
+
+
 def test_e_h_round_trips():
     for n in range(1, 6):
         for s in all_sentences(AB, n):
@@ -99,12 +128,14 @@ def test_e_single_letter():
 
 
 def test_e_in_ribbons_via_complement():
-    # E_J equals the sum of ribbons over refinements of the complement
+    # E_J equals the sum of ribbons over refinements of the complement; the
+    # direct E -> R route reads this identity, so check it through H too
     for n in range(1, 6):
         for s in all_sentences(AB, n):
-            e = nsym.convert(Expr.basis("E", s, AB), "R")
+            e = Expr.basis("E", s, AB)
             want = Expr("R", AB, {i: 1 for i in refinements(complement(s))})
-            assert e == want, s
+            assert nsym.convert(e, "R") == want, s
+            assert nsym.convert(nsym.convert(e, "H"), "R") == want, s
 
 
 def test_pieri_examples():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cqsym import qsym
-from cqsym.exprs import Expr, UncoloredExpr, parse
+from cqsym.exprs import Expr, UncoloredExpr, parse, row_route
 from cqsym.sentences import Alphabet, all_sentences, canonical_key, size
-from cqsym.tableaux import IMMACULATE, kostka_table
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, kostka_table
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -51,6 +51,71 @@ def test_di_f_rsdi_round_trips():
             m = Expr.basis("M", s, AB)
             assert qsym.convert(qsym.convert(m, "DI"), "M") == m
             assert qsym.convert(qsym.convert(m, "RSDI"), "M") == m
+
+
+# --- the Kostka routes, kept as references ---------------------------------
+#
+# The conversions between M and DI/RSDI go through F.  These are the routes
+# they replaced: the rows of the Kostka table, and unitriangular
+# back-substitution against it, degree by degree in canonical order.
+
+def _kostka_row(variant):
+    return lambda alphabet, j: kostka_table(alphabet, size(j), variant)[j]
+
+
+_kostka_di_to_m = row_route("M", _kostka_row(IMMACULATE))
+_kostka_rsdi_to_m = row_route("M", _kostka_row(ROW_STRICT))
+
+
+def _kostka_m_to_di(e):
+    out = Expr("DI", e.alphabet)
+    for n, part in e.degrees().items():
+        if n == 0:
+            out.add_term((), part[()])
+            continue
+        table = kostka_table(e.alphabet, n, IMMACULATE)
+        remaining = dict(part)
+        # the table is built over all_sentences, already in canonical order
+        for j in table:
+            c = remaining.get(j, 0)
+            if not c:
+                continue
+            out.add_term(j, c)
+            for b, count in table[j].items():
+                new = remaining.get(b, 0) - c * count
+                if new:
+                    remaining[b] = new
+                else:
+                    remaining.pop(b, None)
+        assert not remaining, "Kostka back-substitution left a remainder"
+    return out
+
+
+def _kostka_cases():
+    """Every basis sentence of ab n <= 5 and abc n <= 4, then one
+    mixed-degree Fraction expression with a degree-0 term."""
+    for alphabet, top in ((AB, 5), (ABC, 4)):
+        for n in range(top + 1):
+            for s in all_sentences(alphabet, n):
+                yield alphabet, {s: 1}
+    yield ABC, {
+        (): Fraction(-3, 4),
+        ("c",): 2,
+        ("ab", "c"): Fraction(5, 3),
+        ("a", "bc"): -1,
+        ("ca", "b", "a"): 7,
+        ("abc", "ba"): Fraction(1, 2),
+    }
+
+
+def test_m_and_dual_immaculate_routes_match_the_kostka_references():
+    for alphabet, terms in _kostka_cases():
+        m = Expr("M", alphabet, terms)
+        assert qsym.convert(m, "DI") == _kostka_m_to_di(m), terms
+        di = Expr("DI", alphabet, terms)
+        assert qsym.convert(di, "M") == _kostka_di_to_m(di), terms
+        rsdi = Expr("RSDI", alphabet, terms)
+        assert qsym.convert(rsdi, "M") == _kostka_rsdi_to_m(rsdi), terms
 
 
 def test_kostka_matrix_unitriangular():

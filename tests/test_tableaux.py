@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from cqsym import nsym, poset, qsym
+from cqsym.exprs import Expr, side
 from cqsym.sentences import Alphabet, all_sentences, is_refinement, refinements, word_lengths
 from cqsym.tableaux import (
     IMMACULATE,
@@ -204,8 +206,9 @@ def test_kostka_table_matches_direct_enumeration():
 
 
 def test_kostka_table_rows_in_canonical_order():
-    # qsym's M -> DI back-substitution walks the table in insertion order,
-    # which must be the canonical (unitriangular) order of all_sentences
+    # every table keeps the shape order of standard_data, which must be the
+    # canonical order of all_sentences: descent_graph.build takes its
+    # vertices from that order without sorting them
     for alphabet in (AB, ABC):
         for n in range(1, 5):
             assert list(kostka_table(alphabet, n, IMMACULATE)) == all_sentences(alphabet, n)
@@ -255,6 +258,37 @@ def test_cached_tables_take_variant_positionally():
         with pytest.raises(TypeError):
             table(AB, 3, variant=IMMACULATE)
         assert table(AB, 3, IMMACULATE) is table(AB, 3, IMMACULATE)
+
+
+# the conversion routes (the expand routes of perfbench/queries.py)
+_EXPAND_ROUTES = (
+    ("DI", "M"), ("DI", "F"), ("RSDI", "M"), ("RSDI", "F"),
+    ("M", "DI"), ("M", "RSDI"), ("F", "DI"), ("F", "RSDI"),
+    ("H", "IM"), ("H", "RSIM"), ("E", "IM"), ("E", "RSIM"), ("R", "IM"), ("R", "RSIM"),
+    ("IM", "H"), ("IM", "R"), ("RSIM", "H"), ("RSIM", "R"),
+)
+
+
+def test_no_route_builds_the_kostka_matrix():
+    # kostka_table and kostka_columns are reference views for the tests:
+    # every route reads the L data, the descent graph and the Mobius maps
+    kostka_table.cache_clear()
+    kostka_columns.cache_clear()
+    j, k = ("ab", "ba"), ("b", "aab")
+    for src, dst in _EXPAND_ROUTES:
+        convert = qsym.convert if side(src) == "qsym" else nsym.convert
+        convert(Expr.basis(src, j, AB), dst)
+    for variant, dual in ((IMMACULATE, "DI"), (ROW_STRICT, "RSDI")):
+        for target in ("M", "F", dual):
+            poset.skew_expand(j, ("a",), target, AB, variant)
+        poset.coproduct_di(j, AB, variant)
+    qsym.product(Expr.basis("DI", ("ab",), AB), Expr.basis("RSDI", ("b", "a"), AB))
+    nsym.pair(Expr.basis("IM", j, AB), Expr.basis("DI", k, AB))
+    qsym.psi(Expr.basis("DI", j, AB))
+    nsym.psi(Expr.basis("IM", j, AB))
+    poset.structure_constants(("a", "b"), ("ab",), AB)
+    assert kostka_table.cache_info().currsize == 0
+    assert kostka_columns.cache_info().currsize == 0
 
 
 def test_render_block():
