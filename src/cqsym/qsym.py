@@ -2,11 +2,12 @@
 dual immaculate) bases, conversions, Hopf operations, the psi involution,
 uncoloring, and a truncated polynomial realization used as a product oracle.
 
-Every cross-basis route pivots through M.  The single-step routes are the
+Every cross-basis route pivots through F.  The single-step routes are the
 tableau expansions DI/RSDI -> F (the L rows of the standard data), the
 Mobius pair M <-> F, the descent-graph inversion F -> DI, and its complement
 twin F -> RSDI.  The routes between M and DI/RSDI compose these through F,
-so no route builds the Kostka matrix (L composed with F -> M).
+so no route builds the Kostka matrix (L composed with F -> M), and DI <->
+RSDI is the one pair that takes the pivot.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ _ROUTES = {
     ("M", "RSDI"): _m_to_rsdi,
 }
 
-convert = side_converter("qsym", _ROUTES, "M")
+convert = side_converter("qsym", _ROUTES, "F")
 
 
 # Hopf operations -------------------------------------------------------

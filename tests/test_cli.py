@@ -427,6 +427,37 @@ def test_verify_command(capsys):
     assert code == 1 and "cap" in err
 
 
+# byte-exact `verify --json` output of every suite: a suite may change how it
+# checks, but not the report's shape or its counts
+VERIFY_JSON_GOLDENS = [
+    ("ab", "3", "duality", 2184),
+    ("ab", "3", "roundtrip", 756),
+    ("ab", "3", "pieri", 84),
+    ("ab", "3", "psi", 466),
+    ("ab", "3", "antipode", 84),
+    ("ab", "3", "oracle", 36),
+    ("abc", "2", "duality", 666),
+    ("abc", "2", "roundtrip", 378),
+    ("abc", "2", "pieri", 42),
+    ("abc", "2", "psi", 240),
+    ("abc", "2", "antipode", 42),
+    ("abc", "2", "oracle", 9),
+]
+
+
+@pytest.mark.parametrize(
+    "alphabet,degree,suite,checks",
+    VERIFY_JSON_GOLDENS,
+    ids=[f"{a}{d}-{s}" for a, d, s, _ in VERIFY_JSON_GOLDENS],
+)
+def test_verify_json_golden(capsys, alphabet, degree, suite, checks):
+    code, out, _ = run_cli(
+        capsys, "verify", "--alphabet", alphabet, "--max-degree", degree, suite, "--json"
+    )
+    assert code == 0
+    assert out == f'{{"suite": "{suite}", "checks": {checks}, "failures": []}}\n'
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "expand", "--alphabet", "ab", "--to", "M", "M[xy]")
     assert code == 1 and "alphabet" in err

@@ -118,6 +118,16 @@ def test_m_and_dual_immaculate_routes_match_the_kostka_references():
         assert qsym.convert(rsdi, "M") == _kostka_rsdi_to_m(rsdi), terms
 
 
+def test_dual_immaculate_twins_convert_through_f_as_through_m():
+    # DI <-> RSDI is the one pair without a direct route; it takes the F
+    # pivot, and must agree with the composite through M
+    for alphabet, terms in _kostka_cases():
+        for src, dst in (("DI", "RSDI"), ("RSDI", "DI")):
+            e = Expr(src, alphabet, terms)
+            through_m = qsym.convert(qsym.convert(e, "M"), dst)
+            assert qsym.convert(e, dst) == through_m, (src, terms)
+
+
 def test_kostka_matrix_unitriangular():
     for n in range(1, 6):
         table = kostka_table(AB, n, IMMACULATE)

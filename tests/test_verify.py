@@ -1,0 +1,118 @@
+from contextlib import contextmanager
+
+import pytest
+
+from cqsym import descent_graph, nsym, qsym, verify
+from cqsym.exprs import Expr
+from cqsym.sentences import Alphabet, all_sentences, sentence_str
+from cqsym.tableaux import (
+    IMMACULATE,
+    ROW_STRICT,
+    _variant_index,
+    ell_columns,
+    kostka_columns,
+    kostka_table,
+    standard_data,
+)
+
+AB = Alphabet("ab")
+ABC = Alphabet("abc")
+
+
+# --- the per-pair duality suite, kept as the reference ----------------------
+#
+# verify.run("duality", ...) sums sparse rows of the pairing matrix.  This is
+# the suite it replaced: one nsym.pair call per (I, J), I-major, J in
+# all_sentences order, the IM pairing before the RSIM one.
+
+def _per_pair_duality(alphabet, max_degree):
+    checks = 0
+    failures = []
+
+    def record(name, inp, expected, got):
+        failures.append(
+            {"name": name, "input": inp, "expected": str(expected), "got": str(got)}
+        )
+
+    for n in range(1, max_degree + 1):
+        indices = all_sentences(alphabet, n)
+        h_side = {i: nsym.convert(Expr.basis("IM", i, alphabet), "H") for i in indices}
+        m_side = {j: qsym.convert(Expr.basis("DI", j, alphabet), "M") for j in indices}
+        hrs = {i: nsym.convert(Expr.basis("RSIM", i, alphabet), "H") for i in indices}
+        mrs = {j: qsym.convert(Expr.basis("RSDI", j, alphabet), "M") for j in indices}
+        for i in indices:
+            for j in indices:
+                want = 1 if i == j else 0
+                got = nsym.pair(h_side[i], m_side[j])
+                checks += 1
+                if got != want:
+                    record("pair(IM, DI)", f"{sentence_str(i)} | {sentence_str(j)}", want, got)
+                got = nsym.pair(hrs[i], mrs[j])
+                checks += 1
+                if got != want:
+                    record(
+                        "pair(RSIM, RSDI)", f"{sentence_str(i)} | {sentence_str(j)}", want, got
+                    )
+    return {"suite": "duality", "checks": checks, "failures": failures}
+
+
+def _assert_same_report(alphabet, max_degree):
+    report = verify.run("duality", alphabet, max_degree)
+    assert report == _per_pair_duality(alphabet, max_degree)
+    return report
+
+
+@pytest.mark.parametrize("alphabet,max_degree", [(AB, 4), (ABC, 3)], ids=["ab4", "abc3"])
+def test_duality_matches_the_per_pair_reference(alphabet, max_degree):
+    report = _assert_same_report(alphabet, max_degree)
+    assert report["failures"] == []
+    assert report["checks"] == 2 * sum(
+        len(all_sentences(alphabet, n)) ** 2 for n in range(1, max_degree + 1)
+    )
+
+
+@contextmanager
+def _one_ell_entry_off_by_one(alphabet, shape, variant):
+    """Raise one L entry of shape by one in the cached standard data, then
+    put it back and drop every table that may have read it."""
+    row = standard_data(alphabet, sum(map(len, shape)))[shape][_variant_index(variant)]
+    comp = min(row)
+    row[comp] += 1
+    try:
+        yield
+    finally:
+        row[comp] -= 1
+        for cache in (ell_columns, kostka_table, kostka_columns, descent_graph._graph_cache):
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize("variant", [IMMACULATE, ROW_STRICT])
+def test_duality_reports_an_ell_entry_off_by_one_like_the_reference(variant):
+    with _one_ell_entry_off_by_one(AB, ("ab", "a"), variant):
+        report = _assert_same_report(AB, 3)
+    names = {f["name"] for f in report["failures"]}
+    assert names == {"pair(IM, DI)" if variant == IMMACULATE else "pair(RSIM, RSDI)"}
+    assert _assert_same_report(AB, 3)["failures"] == []
+
+
+def test_duality_reports_a_perturbed_creation_term_like_the_reference(monkeypatch):
+    original = nsym._imm_h_terms
+
+    def perturbed(j):
+        terms = original(j)
+        if j == ("ba",):
+            terms = dict(terms)
+            terms[("a", "b")] = terms.get(("a", "b"), 0) + 1
+        return terms
+
+    original.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(nsym, "_imm_h_terms", perturbed)
+            report = _assert_same_report(AB, 3)
+    finally:
+        original.cache_clear()
+    failures = report["failures"]
+    assert {f["name"] for f in failures} == {"pair(IM, DI)", "pair(RSIM, RSDI)"}
+    assert any(f["expected"] == "0" for f in failures)
+    assert _assert_same_report(AB, 3)["failures"] == []
