@@ -9,9 +9,9 @@ so inverse rows and columns are computed by a sweep over the vertices in
 increasing word-length order, which finishes every out-neighbour of a vertex
 before the vertex itself; the rows are cached on the graph.  The row-strict
 variant is NOT acyclic in general (already at n = 2 the shapes (aa) and
-(a,a) form a 2-cycle), so inverse coefficients for it are obtained through
-the complement involution on the immaculate graph; see the qsym/nsym
-conversion routes.
+(a,a) form a 2-cycle), so it is built only for export (`graph --row-strict`)
+and the routes read the one cached immaculate graph per degree,
+complementing the indices of the row-strict bases (see qsym and nsym).
 """
 
 from __future__ import annotations
@@ -97,15 +97,10 @@ def build(n: int, alphabet: Alphabet, variant: str = IMMACULATE, cap: int = DEFA
     return DescentGraph(n, alphabet, variant, vertices, edges, acyclic)
 
 
-def cached_graph(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> DescentGraph:
-    """One shared graph per (alphabet, degree, variant), whether or not the
-    variant is passed."""
-    return _graph_cache(alphabet, n, variant)
-
-
 @lru_cache(maxsize=None)
-def _graph_cache(alphabet: Alphabet, n: int, variant: str) -> DescentGraph:
-    return build(n, alphabet, variant)
+def cached_graph(alphabet: Alphabet, n: int) -> DescentGraph:
+    """The one shared immaculate graph of the degree."""
+    return build(n, alphabet)
 
 
 def _require_acyclic(g: DescentGraph) -> None:
@@ -195,12 +190,12 @@ def path_inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
     return total
 
 
-def uncolored_coeffs(n: int, variant: str = IMMACULATE) -> dict:
+def uncolored_coeffs(n: int) -> dict:
     """Inverse-coefficient table over compositions: run the one-letter graph
     and relabel sentences by their word lengths.  Row alpha, column beta holds
     the coefficient of the dual immaculate function beta in the fundamental
     function alpha (equally: of the ribbon alpha in the immaculate beta)."""
-    g = cached_graph(Alphabet("a"), n, variant)
+    g = cached_graph(Alphabet("a"), n)
     out = {}
     for i in g.vertices:
         row = inverse_row(g, i)

@@ -34,7 +34,7 @@ from .sentences import (
     suffix_removals,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, ell_columns
+from .tableaux import ell_columns
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +162,17 @@ def _e_to_r(e: Expr) -> Expr:
     return out
 
 
-def _ell_column(variant):
-    return lambda alphabet, j: ell_columns(alphabet, size(j), variant).get(j, {})
+def _ell_column(alphabet, c):
+    return ell_columns(alphabet, size(c)).get(c, {})
 
 
 # R_C is the sum over shapes J of L[J][C] IM_J (the transpose of DI -> F).
-# H and E reach IM and RSIM through R, so no route builds the Kostka columns
-# (the coarsening map H -> R composed with these L columns).
-_r_to_im = row_route("IM", _ell_column(IMMACULATE))
-_r_to_rsim = row_route("RSIM", _ell_column(ROW_STRICT))
+# psi fixes R up to complementing the index and sends IM to RSIM, so R_C is
+# also the sum of L[J][complement(C)] RSIM_J.  H and E reach IM and RSIM
+# through R, so no route builds the Kostka columns (the coarsening map
+# H -> R composed with these L columns).
+_r_to_im = row_route("IM", _ell_column)
+_r_to_rsim = row_route("RSIM", lambda alphabet, c: _ell_column(alphabet, complement(c)))
 _h_to_im = chain(_h_to_r, _r_to_im)
 _h_to_rsim = chain(_h_to_r, _r_to_rsim)
 _e_to_im = chain(_e_to_r, _r_to_im)

@@ -3,11 +3,11 @@ dual immaculate) bases, conversions, Hopf operations, the psi involution,
 uncoloring, and a truncated polynomial realization used as a product oracle.
 
 Every cross-basis route pivots through F.  The single-step routes are the
-tableau expansions DI/RSDI -> F (the L rows of the standard data), the
-Mobius pair M <-> F, the descent-graph inversion F -> DI, and its complement
-twin F -> RSDI.  The routes between M and DI/RSDI compose these through F,
-so no route builds the Kostka matrix (L composed with F -> M), and DI <->
-RSDI is the one pair that takes the pivot.
+tableau expansions DI/RSDI -> F (the immaculate L rows of the standard data,
+complemented for RSDI), the Mobius pair M <-> F, the descent-graph inversion
+F -> DI, and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
+and DI <-> RSDI, takes the pivot, so no route builds the Kostka matrix (L
+composed with F -> M).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 
 from . import descent_graph as dg
-from .exprs import Expr, TensorExpr, UncoloredExpr, chain, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
 from .sentences import (
     coarsenings,
     complement,
@@ -26,7 +26,7 @@ from .sentences import (
     size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, _variant_index, standard_data
+from .tableaux import IMMACULATE, ROW_STRICT, row_strict_row, standard_data
 
 
 # single-step routes ---------------------------------------------------
@@ -50,43 +50,29 @@ def _m_to_f(e: Expr) -> Expr:
 
 # one shape's L row, read from the cached standard data (ell_table would
 # rebuild the whole degree's table per term)
-def _ell_row(variant):
-    index = _variant_index(variant)
-    return lambda alphabet, j: standard_data(alphabet, size(j))[j][index]
+def _ell_row(alphabet, j):
+    return standard_data(alphabet, size(j))[j]
 
 
-_di_to_f = row_route("F", _ell_row(IMMACULATE))
-_rsdi_to_f = row_route("F", _ell_row(ROW_STRICT))
-_f_to_di = row_route(
-    "DI", lambda alphabet, i: dg.inverse_row(dg.cached_graph(alphabet, size(i)), i)
-)
-# psi sends F_I to F_{I^c} and DI to RSDI, so the row-strict inverse
-# coefficients are the immaculate ones read from the complement
-_f_to_rsdi = row_route(
-    "RSDI",
-    lambda alphabet, i: dg.inverse_row(dg.cached_graph(alphabet, size(i)), complement(i)),
-)
+def _inverse_row(alphabet, i):
+    return dg.inverse_row(dg.cached_graph(alphabet, size(i)), i)
 
 
-# the Kostka routes, read through F: K = L composed with F -> M, and its
-# inverse is M -> F followed by the inverse of L
-_di_to_m = chain(_di_to_f, _f_to_m)
-_rsdi_to_m = chain(_rsdi_to_f, _f_to_m)
-_m_to_di = chain(_m_to_f, _f_to_di)
-_m_to_rsdi = chain(_m_to_f, _f_to_rsdi)
+# psi sends F_I to F_{I^c} and DI to RSDI, so each row-strict route is the
+# immaculate one with the F indices complemented
+_di_to_f = row_route("F", _ell_row)
+_rsdi_to_f = row_route("F", lambda alphabet, j: row_strict_row(_ell_row(alphabet, j)))
+_f_to_di = row_route("DI", _inverse_row)
+_f_to_rsdi = row_route("RSDI", lambda alphabet, i: _inverse_row(alphabet, complement(i)))
 
 
 _ROUTES = {
     ("M", "F"): _m_to_f,
     ("F", "M"): _f_to_m,
-    ("DI", "M"): _di_to_m,
     ("DI", "F"): _di_to_f,
-    ("RSDI", "M"): _rsdi_to_m,
     ("RSDI", "F"): _rsdi_to_f,
     ("F", "DI"): _f_to_di,
     ("F", "RSDI"): _f_to_rsdi,
-    ("M", "DI"): _m_to_di,
-    ("M", "RSDI"): _m_to_rsdi,
 }
 
 convert = side_converter("qsym", _ROUTES, "F")

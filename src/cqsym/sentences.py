@@ -209,10 +209,20 @@ def mobius(j: Sentence, i: Sentence) -> int:
 # involutions
 
 def complement(i: Sentence) -> Sentence:
-    """Same maximal word, splits exactly where i does not."""
-    w = maximal_word(i)
-    here = split_positions(i)
-    return from_splits(w, [p for p in range(1, len(w)) if p not in here])
+    """Same maximal word, splits exactly where i does not; ("",), the
+    degree-0 descent composition, is its own complement."""
+    if not i:
+        return ()
+    out, piece = [], ""  # piece: the word still open across i's splits
+    for w in i:
+        if len(w) > 1:
+            out.append(piece + w[0])
+            out.extend(w[1:-1])
+            piece = w[-1]
+        else:
+            piece += w
+    out.append(piece)
+    return tuple(out)
 
 
 def reversal(i: Sentence) -> Sentence:

@@ -14,7 +14,10 @@ Standard tableaux (each of 1..n once) have the same integer fillings in both
 variants, but different descent data: value t is an immaculate descent when
 t+1 sits in a strictly lower row, and a row-strict descent when t+1 sits in a
 weakly higher row.  The colored descent composition splits the reading word
-(colors in value order) after each descent.
+(colors in value order) after each descent.  So each t < n is a descent of
+exactly one variant, and the row-strict descent composition of a filling is
+the complement of its immaculate one: only the immaculate L table is stored,
+and the row-strict one is read from it with every key complemented.
 
 One filler, `fillings`, enumerates tableaux by shape for both variants: on
 straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
@@ -33,6 +36,7 @@ from .sentences import (
     Sentence,
     all_compositions,
     all_words,
+    complement,
     flatten,
     maximal_word,
     refinements,
@@ -50,11 +54,6 @@ def _check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     return variant
-
-
-def _variant_index(variant: str) -> int:
-    """Where the variant's data sits in standard_data's pairs."""
-    return VARIANTS.index(_check_variant(variant))
 
 
 class Filling:
@@ -219,18 +218,18 @@ class Tableau(Filling):
 # one variant: immaculate when t+1 sits in a lower row, row-strict otherwise.
 
 def _standard_walk(lengths: tuple, visit) -> None:
-    """Call visit(perm, imm, rs) once per standard filling, in a fixed
-    order: perm[t] is the position in the maximal word of the box holding
-    t+1, and imm and rs cut the reading word (0 first, n last) after each
-    immaculate and each row-strict descent.  perm is reused between calls."""
+    """Call visit(perm, cuts) once per standard filling, in a fixed order:
+    perm[t] is the position in the maximal word of the box holding t+1, and
+    cuts cut the reading word (0 first, n last) after each immaculate
+    descent.  perm is reused between calls."""
     k, n = len(lengths), sum(lengths)
     ends = list(accumulate(lengths))
     free = [0] + ends[:-1]  # the next box of each row
-    perm, imm, rs = [], [0], [0]
+    perm, cuts = [], [0]
 
     def rec(t: int, prev: int, opened: int) -> None:
         if t == n:
-            visit(perm, imm + [n], rs + [n])
+            visit(perm, cuts + [n])
             return
         for r in range(min(opened + 1, k)):
             p = free[r]
@@ -238,10 +237,12 @@ def _standard_walk(lengths: tuple, visit) -> None:
                 continue
             free[r] = p + 1
             perm.append(p)
-            cuts = imm if r > prev else rs
-            cuts.append(t)
-            rec(t + 1, r, max(opened, r + 1))
-            cuts.pop()
+            if r > prev:
+                cuts.append(t)
+                rec(t + 1, r, max(opened, r + 1))
+                cuts.pop()
+            else:
+                rec(t + 1, r, opened)
             perm.pop()
             free[r] = p
 
@@ -265,7 +266,7 @@ def enumerate_standard(shape: Sentence, variant: str = IMMACULATE) -> list:
     rows = _row_slices(lengths)
     out = []
 
-    def visit(perm, imm, rs):
+    def visit(perm, cuts):
         values = [0] * len(perm)
         for t, p in enumerate(perm, 1):
             values[p] = t
@@ -276,21 +277,25 @@ def enumerate_standard(shape: Sentence, variant: str = IMMACULATE) -> list:
 
 
 def _descent_data(lengths: tuple, words: list) -> list:
-    """(immaculate, row-strict) Counters of descent compositions of the
-    shape of each maximal word, all colored at each step of one walk."""
-    pairs = [(Counter(), Counter()) for _ in words]
+    """The Counter of immaculate descent compositions of the shape of each
+    maximal word, all colored at each step of one walk."""
+    counts = [Counter() for _ in words]
 
-    def visit(perm, imm, rs):
+    def visit(perm, cuts):
         read = itemgetter(*perm) if perm else lambda word: ""
-        imm_words = tuple(map(slice, imm, imm[1:]))
-        rs_words = tuple(map(slice, rs, rs[1:]))
-        for word, (imm_counts, rs_counts) in zip(words, pairs):
+        pieces = tuple(map(slice, cuts, cuts[1:]))
+        for word, counter in zip(words, counts):
             reading = "".join(read(word))
-            imm_counts[tuple(map(reading.__getitem__, imm_words))] += 1
-            rs_counts[tuple(map(reading.__getitem__, rs_words))] += 1
+            counter[tuple(map(reading.__getitem__, pieces))] += 1
 
     _standard_walk(lengths, visit)
-    return pairs
+    return counts
+
+
+def row_strict_row(row: dict) -> dict:
+    """The row-strict L row of a shape from its immaculate one: the same
+    fillings in the same order, each descent composition complemented."""
+    return {complement(comp): count for comp, count in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +390,25 @@ def kostka(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> int:
 def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int:
     """Number of standard tableaux of the shape whose colored descent
     composition (of the variant) equals comp."""
-    index = _variant_index(variant)
-    return _descent_data(word_lengths(shape), [maximal_word(shape)])[0][index][comp]
+    if _check_variant(variant) == ROW_STRICT:
+        comp = complement(comp)
+    return _descent_data(word_lengths(shape), [maximal_word(shape)])[0][comp]
 
 
 # ---------------------------------------------------------------------------
 # per-degree transition tables
 #
-# standard_data(alphabet, n)[shape] is a pair of Counters over descent
-# compositions: index 0 immaculate, index 1 row-strict.  It walks the
-# standard fillings of each composition of n once, keeping none of them, and
-# colors every shape of that composition at each: the reading word is the
-# shape's maximal word at the filling's positions, cut at its descents.  The
-# Kostka rows are accumulated from the pairs: K[J][B] counts standard
-# fillings whose descent composition coarsens B.  kostka_table and
-# kostka_columns are reference views for the tests: no conversion route calls
-# them, since each reads L and the refinement or coarsening map instead.  The
-# cached tables take the variant positionally and without a default, so each
-# table has one cache key.
+# standard_data(alphabet, n)[shape] is the shape's immaculate L row, a
+# Counter over descent compositions; ell_columns is its transpose.  It walks
+# the standard fillings of each composition of n once, keeping none of them,
+# and colors every shape of that composition at each: the reading word is the
+# shape's maximal word at the filling's positions, cut at its descents.  A
+# row-strict row is the immaculate one with its keys complemented, built
+# when read.  K[J][B] counts standard fillings whose descent composition
+# coarsens B.  kostka_table and kostka_columns are reference views for the
+# tests: no conversion route calls them, since each reads L and the
+# refinement or coarsening map instead.  They take the variant positionally
+# and without a default, so each table has one cache key.
 
 @lru_cache(maxsize=None)
 def standard_data(alphabet: Alphabet, n: int) -> dict:
@@ -418,17 +424,17 @@ def standard_data(alphabet: Alphabet, n: int) -> dict:
 def ell_table(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
     """L rows: ell_table[J][C] = number of standard tableaux of shape J with
     descent composition C (diagonal included for the immaculate variant)."""
-    index = _variant_index(variant)
-    return {shape: pair[index] for shape, pair in standard_data(alphabet, n).items()}
+    if _check_variant(variant) == IMMACULATE:
+        return dict(standard_data(alphabet, n))
+    return {shape: row_strict_row(row) for shape, row in standard_data(alphabet, n).items()}
 
 
 @lru_cache(maxsize=None)
 def kostka_table(alphabet: Alphabet, n: int, variant: str, /) -> dict:
-    index = _variant_index(variant)
     out = {}
-    for shape, pair in standard_data(alphabet, n).items():
+    for shape, ell_row in ell_table(alphabet, n, variant).items():
         row = Counter()
-        for co, mult in pair[index].items():
+        for co, mult in ell_row.items():
             for b in refinements(co):
                 row[b] += mult
         out[shape] = row
@@ -450,5 +456,5 @@ def kostka_columns(alphabet: Alphabet, n: int, variant: str, /) -> dict:
 
 
 @lru_cache(maxsize=None)
-def ell_columns(alphabet: Alphabet, n: int, variant: str, /) -> dict:
-    return _columns(ell_table(alphabet, n, variant))
+def ell_columns(alphabet: Alphabet, n: int) -> dict:
+    return _columns(standard_data(alphabet, n))

@@ -149,7 +149,9 @@ def test_tableaux_standard_exact_output(capsys, argv, expected):
     assert run_cli(capsys, "tableaux", *argv) == (0, expected, "")
 
 
-# sha256 of the whole-degree outputs, unchanged since the first release
+# sha256 of the whole-degree outputs, unchanged since the first release (the
+# row-strict graph, whose edges are read through the complement of the
+# immaculate L table, since it was first pinned)
 FULL_TABLE_HASHES = [
     (
         ("coeffs", "--degree", "9", "--uncolored"),
@@ -163,11 +165,17 @@ FULL_TABLE_HASHES = [
         ("graph", "--alphabet", "ab", "--degree", "6", "--format", "csv"),
         "d880bf8d6fce35e491e4cf095c0fdcdf8e5c16d265a05a13611a6cc4d1e7a7a0",
     ),
+    (
+        ("graph", "--alphabet", "ab", "--degree", "5", "--row-strict", "--format", "csv"),
+        "8c5c078de3aa8b87b0d7425c1acef998215c285f4cb5ed2809332838979ee304",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", FULL_TABLE_HASHES, ids=["coeffs-uncolored-9", "coeffs-ab-6", "graph-ab-6"]
+    "argv,digest",
+    FULL_TABLE_HASHES,
+    ids=["coeffs-uncolored-9", "coeffs-ab-6", "graph-ab-6", "graph-ab-5-row-strict"],
 )
 def test_full_table_output_hashes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)

@@ -162,6 +162,22 @@ def test_involutions_exhaustive():
             assert reversal(reversal(s)) == s
 
 
+def _split_set_complement(i):
+    # the reference: split the maximal word at the positions where i does
+    # not split
+    w = "".join(i)
+    here = split_positions(i)
+    return from_splits(w, [p for p in range(1, len(w)) if p not in here])
+
+
+def test_complement_matches_the_split_set_definition():
+    for alphabet, top in ((AB, 6), (ABC, 4)):
+        for n in range(top + 1):
+            for s in all_sentences(alphabet, n):
+                assert complement(s) == _split_set_complement(s), s
+    assert complement(()) == _split_set_complement(()) == ()
+
+
 def _quasishuffle_count(p, q):
     # independent recurrence: the first output word comes from the left
     # sentence, the right sentence, or a merged pair

@@ -226,18 +226,20 @@ def test_row_strict_tables_match_direct_enumeration():
 
 def test_standard_data_matches_tableau_descent_compositions():
     # the per-composition walk, colored shape by shape, against the
-    # tableaux themselves: both variants, and Counter order = filling order
+    # tableaux themselves: both variants (the row-strict table read through
+    # the complement), and Counter order = filling order
     for alphabet, top in ((AB, 5), (ABC, 4)):
         for n in range(1, top + 1):
-            data = standard_data(alphabet, n)
             shapes = all_sentences(alphabet, n)
-            assert list(data) == shapes
-            for shape, pair in data.items():
-                for index, variant in enumerate((IMMACULATE, ROW_STRICT)):
+            assert list(standard_data(alphabet, n)) == shapes
+            for variant in (IMMACULATE, ROW_STRICT):
+                table = ell_table(alphabet, n, variant)
+                assert list(table) == shapes
+                for shape, row in table.items():
                     want = Counter(
                         t.descent_composition() for t in enumerate_standard(shape, variant)
                     )
-                    assert list(pair[index].items()) == list(want.items()), (shape, variant)
+                    assert list(row.items()) == list(want.items()), (shape, variant)
                     for comp, count in want.items():
                         assert ell_coeff(shape, comp, variant) == count
                     missing = next(b for b in shapes if b not in want)
@@ -245,19 +247,22 @@ def test_standard_data_matches_tableau_descent_compositions():
 
 
 def test_standard_data_degree_zero():
-    # the empty filling: one reading word "", cut nowhere
-    assert standard_data(AB, 0) == {(): (Counter({("",): 1}), Counter({("",): 1}))}
+    # the empty filling: one reading word "", cut nowhere, in both variants
+    assert standard_data(AB, 0) == {(): Counter({("",): 1})}
+    assert ell_table(AB, 0, ROW_STRICT) == {(): {("",): 1}}
 
 
 def test_cached_tables_take_variant_positionally():
     # one lru_cache entry per table: a defaulted or keyword variant would
     # make (AB, 3) and (AB, 3, IMMACULATE) two keys for the same table
-    for table in (kostka_table, kostka_columns, ell_columns):
+    for table in (kostka_table, kostka_columns):
         with pytest.raises(TypeError):
             table(AB, 3)
         with pytest.raises(TypeError):
             table(AB, 3, variant=IMMACULATE)
         assert table(AB, 3, IMMACULATE) is table(AB, 3, IMMACULATE)
+    # the L columns are immaculate only: one entry per degree
+    assert ell_columns(AB, 3) is ell_columns(AB, 3)
 
 
 # the conversion routes (the expand routes of perfbench/queries.py)
