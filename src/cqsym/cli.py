@@ -211,6 +211,8 @@ def cmd_uncolor(args) -> int:
 
 def cmd_verify(args) -> int:
     alphabet = _alphabet(args)
+    if args.max_degree < 1:
+        raise ValueError("max degree must be >= 1")
     if args.max_degree > args.cap:
         raise ValueError(
             f"max degree {args.max_degree} above the cap {args.cap}; "

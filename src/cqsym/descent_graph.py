@@ -84,10 +84,12 @@ def build(n: int, alphabet: Alphabet, variant: str = IMMACULATE, cap: int = DEFA
     acyclic = True
     for i, counter in rows.items():
         out = {j: w for j, w in counter.items() if j != i}
-        if out:
-            edges[i] = out
+        if not out:
+            continue
+        edges[i] = out
+        lengths = word_lengths(i)
         for j in out:
-            if not word_lengths(j) < word_lengths(i):
+            if not word_lengths(j) < lengths:
                 acyclic = False
                 if variant == IMMACULATE:
                     raise ValueError(

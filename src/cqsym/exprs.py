@@ -14,9 +14,10 @@ index labels with the rendered term body, and the JSON names of the labels:
 * UncoloredExpr: composition-indexed, the output of uncoloring.
 
 Conversion between tags is explicit.  side_converter makes the convert
-function of each side from its route table and pivot basis (see the qsym and
-nsym modules); row_route makes a route that replaces each term by a row of a
-transition table.
+function of each side from its table of single-step routes (see the qsym and
+nsym modules): every pair of tags takes the shortest chain of routes, fixed
+once when the side is imported.  row_route makes a route that replaces each
+term by a row of a transition table.
 """
 
 from __future__ import annotations
@@ -43,23 +44,35 @@ def require_side(e: "Expr", which: str) -> None:
         raise ValueError(f"expected a {which} expression, got tag {e.tag}")
 
 
-def side_converter(which: str, routes: dict, pivot: str):
-    """The convert function of one side: e unchanged when it is already in
-    the target basis, else the direct route of routes[(e.tag, target)], else
-    through the pivot basis, which every tag of the side has a route to and
-    from."""
+def side_converter(which: str, routes: dict):
+    """The convert function of one side from its table of single-step
+    routes, (source tag, target tag) -> route.  Each pair of the side's tags
+    takes the shortest chain of routes, found once here by a breadth-first
+    search that tries the routes in table order, so among equally short
+    chains the one whose first differing route is listed first wins.  Raises
+    when some pair has no chain."""
     name = {"qsym": "QSym_A", "nsym": "NSym_A"}[which]
+    tags = QSYM_TAGS if which == "qsym" else NSYM_TAGS
+    plans = {}
+    for source in tags:
+        plans[source, source] = ()
+        queue = [source]
+        for tag in queue:  # the queue grows while it is read
+            for (start, end), route in routes.items():
+                if start == tag and (source, end) not in plans:
+                    plans[source, end] = plans[source, tag] + (route,)
+                    queue.append(end)
+        for target in tags:
+            if (source, target) not in plans:
+                raise ValueError(f"no chain of {name} routes from {source} to {target}")
 
     def convert(e: Expr, target: str) -> Expr:
         require_side(e, which)
         if side(target) != which:
             raise ValueError(f"cannot convert {name} expression to {target} (wrong side)")
-        if e.tag == target:
-            return e
-        route = routes.get((e.tag, target))
-        if route is not None:
-            return route(e)
-        return convert(convert(e, pivot), target)
+        for route in plans[e.tag, target]:
+            e = route(e)
+        return e
 
     convert.__doc__ = f"Rewrite e in the target basis of {name}."
     return convert
@@ -81,11 +94,6 @@ def row_route(out_tag: str, row):
         return out
 
     return route
-
-
-def chain(first, second):
-    """The conversion that applies the route first, then the route second."""
-    return lambda e: second(first(e))
 
 
 def _norm_coef(c):

@@ -9,6 +9,12 @@ removing a suffix from each row (possibly empty), refining the removed
 sentence, and gluing the reversed refinement onto the new first word with an
 alternating sign.  This enumeration is finite term by term, unlike the
 defining sum over all words.
+
+convert takes the shortest chain of the single-step routes in _ROUTES: the
+Mobius maps between H, E and R, the L columns R -> IM/RSIM, the creation
+operators IM -> H and RSIM -> E (RSIM -> H adds E -> H), and the
+descent-graph columns IM/RSIM -> R.  So H and E reach IM and RSIM, and IM
+and RSIM reach each other, through R.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache, partial
 
 from . import descent_graph as dg
 from . import qsym
-from .exprs import Expr, TensorExpr, UncoloredExpr, chain, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
 from .sentences import (
     Alphabet,
     Sentence,
@@ -100,22 +106,14 @@ def _imm_h_terms(j: Sentence) -> dict:
     return out
 
 
+def _imm_h_row(alphabet: Alphabet, j: Sentence) -> dict:
+    alphabet.check_sentence(j)
+    return _imm_h_terms(j)
+
+
 def immaculate_in_h(j: Sentence, alphabet: Alphabet) -> Expr:
     """The immaculate function of j as an H-tagged expression."""
-    alphabet.check_sentence(j)
-    return Expr("H", alphabet, dict(_imm_h_terms(j)))
-
-
-def single_letter_immaculate_in_h(j: Sentence, alphabet: Alphabet) -> Expr:
-    """Closed form when every word of j is a single letter: the signed sum of
-    H over the coarsenings of j."""
-    if any(len(w) != 1 for w in j):
-        raise ValueError("closed form only applies to single-letter-word sentences")
-    out = Expr("H", alphabet)
-    k = len(j)
-    for c in coarsenings(j):
-        out.add_term(c, -1 if (k - len(c)) % 2 else 1)
-    return out
+    return Expr("H", alphabet, _imm_h_row(alphabet, j))
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +171,15 @@ def _ell_column(alphabet, c):
 # H -> R composed with these L columns).
 _r_to_im = row_route("IM", _ell_column)
 _r_to_rsim = row_route("RSIM", lambda alphabet, c: _ell_column(alphabet, complement(c)))
-_h_to_im = chain(_h_to_r, _r_to_im)
-_h_to_rsim = chain(_h_to_r, _r_to_rsim)
-_e_to_im = chain(_e_to_r, _r_to_im)
-_e_to_rsim = chain(_e_to_r, _r_to_rsim)
 
-
-def _im_to_h(e: Expr) -> Expr:
-    out = Expr("H", e.alphabet)
-    for j, c in e.terms.items():
-        if j and all(len(w) == 1 for w in j):
-            part = single_letter_immaculate_in_h(j, e.alphabet).terms
-        else:
-            e.alphabet.check_sentence(j)
-            part = _imm_h_terms(j)
-        for s, coef in part.items():
-            out.add_term(s, c * coef)
-    return out
+# the creation operators give IM in H; psi swaps H and E and sends IM to
+# RSIM, so the row-strict immaculate of j is the same row with H relabelled E
+_im_to_h = row_route("H", _imm_h_row)
+_rsim_to_e = row_route("E", _imm_h_row)
 
 
 def _rsim_to_h(e: Expr) -> Expr:
-    # psi swaps H and E and sends IM to RSIM, so the row-strict immaculate
-    # of j is the immaculate H expansion of j with H relabelled E
-    swapped = Expr("E", e.alphabet)
-    for j, c in e.terms.items():
-        for s, coef in _imm_h_terms(j).items():
-            swapped.add_term(s, c * coef)
-    return _e_to_h(swapped)
+    return _e_to_h(_rsim_to_e(e))
 
 
 def _im_in_r(alphabet: Alphabet, j: Sentence) -> dict:
@@ -213,25 +193,23 @@ _rsim_to_r = row_route(
 )
 
 
+# listed so that R -> E takes R -> H -> E, not the equally short R -> RSIM -> E
 _ROUTES = {
     ("R", "H"): _r_to_h,
     ("H", "R"): _h_to_r,
     ("E", "H"): _e_to_h,
     ("H", "E"): _h_to_e,
     ("E", "R"): _e_to_r,
-    ("H", "IM"): _h_to_im,
-    ("E", "IM"): _e_to_im,
     ("R", "IM"): _r_to_im,
-    ("H", "RSIM"): _h_to_rsim,
-    ("E", "RSIM"): _e_to_rsim,
     ("R", "RSIM"): _r_to_rsim,
     ("IM", "H"): _im_to_h,
     ("RSIM", "H"): _rsim_to_h,
+    ("RSIM", "E"): _rsim_to_e,
     ("IM", "R"): _im_to_r,
     ("RSIM", "R"): _rsim_to_r,
 }
 
-convert = side_converter("nsym", _ROUTES, "H")
+convert = side_converter("nsym", _ROUTES)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 dual immaculate) bases, conversions, Hopf operations, the psi involution,
 uncoloring, and a truncated polynomial realization used as a product oracle.
 
-Every cross-basis route pivots through F.  The single-step routes are the
+convert takes the shortest chain of the single-step routes in _ROUTES: the
 tableau expansions DI/RSDI -> F (the immaculate L rows of the standard data,
 complemented for RSDI), the Mobius pair M <-> F, the descent-graph inversion
 F -> DI, and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
-and DI <-> RSDI, takes the pivot, so no route builds the Kostka matrix (L
+and DI <-> RSDI, goes through F, so no route builds the Kostka matrix (L
 composed with F -> M).
 """
 
@@ -75,7 +75,7 @@ _ROUTES = {
     ("F", "RSDI"): _f_to_rsdi,
 }
 
-convert = side_converter("qsym", _ROUTES, "F")
+convert = side_converter("qsym", _ROUTES)
 
 
 # Hopf operations -------------------------------------------------------

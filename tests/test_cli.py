@@ -435,6 +435,14 @@ def test_verify_command(capsys):
     assert code == 1 and "cap" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_verify_rejects_a_max_degree_below_one(capsys, degree):
+    code, out, err = run_cli(
+        capsys, "verify", "--alphabet", "ab", "--max-degree", degree, "duality"
+    )
+    assert (code, out, err) == (1, "", "error: max degree must be >= 1\n")
+
+
 # byte-exact `verify --json` output of every suite: a suite may change how it
 # checks, but not the report's shape or its counts
 VERIFY_JSON_GOLDENS = [

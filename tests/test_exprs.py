@@ -4,7 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from cqsym.exprs import Expr, ParseError, TensorExpr, UncoloredExpr, parse
+from cqsym import nsym, qsym
+from cqsym.exprs import (
+    NSYM_TAGS,
+    QSYM_TAGS,
+    Expr,
+    ParseError,
+    TensorExpr,
+    UncoloredExpr,
+    parse,
+    side_converter,
+)
 from cqsym.sentences import Alphabet, all_sentences
 
 ABC = Alphabet("abc")
@@ -193,3 +203,63 @@ def test_expression_classes_never_equal_each_other():
         for x in group:
             for y in group:
                 assert (x == y) == (x is y)
+
+
+# The chain of single-step routes each conversion takes, as the path of tags
+# it visits.
+CONVERSION_PLANS = {
+    "qsym": {
+        ("M", "F"): "M F", ("M", "DI"): "M F DI", ("M", "RSDI"): "M F RSDI",
+        ("F", "M"): "F M", ("F", "DI"): "F DI", ("F", "RSDI"): "F RSDI",
+        ("DI", "M"): "DI F M", ("DI", "F"): "DI F", ("DI", "RSDI"): "DI F RSDI",
+        ("RSDI", "M"): "RSDI F M", ("RSDI", "F"): "RSDI F", ("RSDI", "DI"): "RSDI F DI",
+    },
+    "nsym": {
+        ("H", "E"): "H E", ("H", "R"): "H R", ("H", "IM"): "H R IM", ("H", "RSIM"): "H R RSIM",
+        ("E", "H"): "E H", ("E", "R"): "E R", ("E", "IM"): "E R IM", ("E", "RSIM"): "E R RSIM",
+        ("R", "H"): "R H", ("R", "E"): "R H E", ("R", "IM"): "R IM", ("R", "RSIM"): "R RSIM",
+        ("IM", "H"): "IM H", ("IM", "E"): "IM H E", ("IM", "R"): "IM R",
+        ("IM", "RSIM"): "IM R RSIM",
+        ("RSIM", "H"): "RSIM H", ("RSIM", "E"): "RSIM E", ("RSIM", "R"): "RSIM R",
+        ("RSIM", "IM"): "RSIM R IM",
+    },
+}
+
+
+def _recording(routes, log):
+    def record(pair, route):
+        def step(e):
+            log.append(pair)
+            return route(e)
+        return step
+
+    return {pair: record(pair, route) for pair, route in routes.items()}
+
+
+@pytest.mark.parametrize("module", [qsym, nsym], ids=["qsym", "nsym"])
+def test_conversions_take_the_pinned_chain_of_routes(module):
+    which = module.__name__.rsplit(".", 1)[1]
+    plans = CONVERSION_PLANS[which]
+    tags = QSYM_TAGS if which == "qsym" else NSYM_TAGS
+    assert set(plans) == {(src, dst) for src in tags for dst in tags if src != dst}
+    log = []
+    convert = side_converter(which, _recording(module._ROUTES, log))
+    alphabet = Alphabet("ab")
+    for (src, dst), path in plans.items():
+        steps = path.split()
+        log.clear()
+        e = Expr.basis(src, ("ab", "a"), alphabet)
+        assert convert(e, dst) == module.convert(e, dst)
+        assert log == list(zip(steps, steps[1:])), (src, dst)
+        log.clear()
+        assert convert(e, src) is e and log == []
+
+
+def test_converter_needs_a_chain_for_every_pair():
+    def identity(e):
+        return e
+
+    routes = {("M", "F"): identity, ("F", "M"): identity, ("DI", "F"): identity,
+              ("RSDI", "F"): identity, ("F", "RSDI"): identity}
+    with pytest.raises(ValueError, match="no chain of QSym_A routes from M to DI"):
+        side_converter("qsym", routes)

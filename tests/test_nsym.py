@@ -5,7 +5,15 @@ import pytest
 
 from cqsym import nsym, qsym
 from cqsym.exprs import Expr, UncoloredExpr, parse, row_route
-from cqsym.sentences import Alphabet, all_sentences, all_words, complement, refinements, size
+from cqsym.sentences import (
+    Alphabet,
+    all_sentences,
+    all_words,
+    coarsenings,
+    complement,
+    refinements,
+    size,
+)
 from cqsym.tableaux import IMMACULATE, ROW_STRICT, kostka, kostka_columns
 
 AB = Alphabet("ab")
@@ -55,14 +63,26 @@ def test_bernstein_one_letter():
     assert nsym.uncolor(got) == UncoloredExpr("H", {(1, 2): 1, (2, 1): -1})
 
 
+def _single_letter_immaculate_in_h(j, alphabet):
+    """Closed form when every word of j is a single letter: the signed sum of
+    H over the coarsenings of j."""
+    out = Expr("H", alphabet)
+    for c in coarsenings(j):
+        out.add_term(c, -1 if (len(j) - len(c)) % 2 else 1)
+    return out
+
+
 def test_immaculate_in_h():
     assert nsym.immaculate_in_h(("def",), A6) == Expr.basis("H", ("def",), A6)
     assert nsym.immaculate_in_h(("a", "b"), AB) == parse("H[a,b] - H[ab]", AB)
     # closed form for single-letter-word sentences agrees with the operators
-    for n in range(1, 5):
-        for s in all_sentences(AB, n):
-            if all(len(w) == 1 for w in s):
-                assert nsym.single_letter_immaculate_in_h(s, AB) == nsym.immaculate_in_h(s, AB)
+    for alphabet, top in ((AB, 5), (ABC, 4)):
+        for n in range(1, top + 1):
+            for s in all_sentences(alphabet, n):
+                if all(len(w) == 1 for w in s):
+                    want = _single_letter_immaculate_in_h(s, alphabet)
+                    assert nsym.immaculate_in_h(s, alphabet) == want, s
+                    assert nsym.convert(Expr.basis("IM", s, alphabet), "H") == want, s
 
 
 def test_uncolored_jacobi_trudi_value():
@@ -99,16 +119,50 @@ def _kostka_column(variant):
     return lambda alphabet, j: kostka_columns(alphabet, size(j), variant).get(j, {})
 
 
-def test_h_and_e_to_immaculate_match_the_kostka_columns():
+def _cases():
+    """(alphabet, terms): every basis element of ab n <= 5 and abc n <= 4,
+    and a mixed-degree Fraction expression with an empty-sentence term."""
     cases = [(alphabet, {s: 1}) for alphabet, top in ((AB, 5), (ABC, 4))
              for n in range(top + 1) for s in all_sentences(alphabet, n)]
     cases.append((ABC, {(): Fraction(-3, 4), ("c",): 2, ("ab", "c"): Fraction(5, 3),
                         ("a", "bc"): -1, ("ca", "b", "a"): 7, ("abc", "ba"): Fraction(1, 2)}))
+    return cases
+
+
+def test_h_and_e_to_immaculate_match_the_kostka_columns():
+    cases = _cases()
     for (src, dst), variant in _KOSTKA_COLUMN_ROUTES.items():
         reference = row_route(dst, _kostka_column(variant))
         for alphabet, terms in cases:
             e = Expr(src, alphabet, terms)
             assert nsym.convert(e, dst) == reference(e), (src, dst, terms)
+
+
+def _creation_expansion(e, tag):
+    """Each term c * X_j replaced by c times the creation-operator H
+    expansion of the immaculate function of j, read in the basis tag."""
+    out = Expr(tag, e.alphabet)
+    for j, c in e.terms.items():
+        for s, coef in nsym.immaculate_in_h(j, e.alphabet).terms.items():
+            out.add_term(s, c * coef)
+    return out
+
+
+def test_immaculate_conversions_match_the_routes_through_h():
+    # The references go through H: IM -> H -> R -> RSIM, RSIM -> H -> R -> IM
+    # and RSIM -> H -> E.  The graph columns IM/RSIM -> R equal the coarsening
+    # (H -> R) and E -> R maps of the creation operators' expansion, since psi
+    # sends IM in H to RSIM in E.
+    for alphabet, terms in _cases():
+        im, rsim = Expr("IM", alphabet, terms), Expr("RSIM", alphabet, terms)
+        im_in_h, rsim_in_e = _creation_expansion(im, "H"), _creation_expansion(rsim, "E")
+        rsim_in_h = nsym._e_to_h(rsim_in_e)
+        assert nsym.convert(rsim, "H") == rsim_in_h, terms
+        assert nsym.convert(im, "RSIM") == nsym._r_to_rsim(nsym._h_to_r(im_in_h)), terms
+        assert nsym.convert(rsim, "IM") == nsym._r_to_im(nsym._h_to_r(rsim_in_h)), terms
+        assert nsym.convert(rsim, "E") == nsym._h_to_e(rsim_in_h), terms
+        assert nsym.convert(im, "R") == nsym._h_to_r(im_in_h), terms
+        assert nsym.convert(rsim, "R") == nsym._e_to_r(rsim_in_e), terms
 
 
 def test_e_h_round_trips():
