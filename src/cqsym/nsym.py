@@ -12,9 +12,9 @@ defining sum over all words.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 Mobius maps between H, E and R, the L columns R -> IM/RSIM, the creation
-operators IM -> H and RSIM -> E (RSIM -> H adds E -> H), and the
-descent-graph columns IM/RSIM -> R.  So H and E reach IM and RSIM, and IM
-and RSIM reach each other, through R.
+operators IM -> H and RSIM -> E, and the descent-graph columns IM/RSIM -> R.
+So H and E reach IM and RSIM, and IM and RSIM reach each other, through R,
+and RSIM reaches H through E.
 """
 
 from __future__ import annotations
@@ -178,10 +178,6 @@ _im_to_h = row_route("H", _imm_h_row)
 _rsim_to_e = row_route("E", _imm_h_row)
 
 
-def _rsim_to_h(e: Expr) -> Expr:
-    return _e_to_h(_rsim_to_e(e))
-
-
 def _im_in_r(alphabet: Alphabet, j: Sentence) -> dict:
     return dg.inverse_column(dg.cached_graph(alphabet, size(j)), j)
 
@@ -203,7 +199,6 @@ _ROUTES = {
     ("R", "IM"): _r_to_im,
     ("R", "RSIM"): _r_to_rsim,
     ("IM", "H"): _im_to_h,
-    ("RSIM", "H"): _rsim_to_h,
     ("RSIM", "E"): _rsim_to_e,
     ("IM", "R"): _im_to_r,
     ("RSIM", "R"): _rsim_to_r,

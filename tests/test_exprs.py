@@ -220,7 +220,7 @@ CONVERSION_PLANS = {
         ("R", "H"): "R H", ("R", "E"): "R H E", ("R", "IM"): "R IM", ("R", "RSIM"): "R RSIM",
         ("IM", "H"): "IM H", ("IM", "E"): "IM H E", ("IM", "R"): "IM R",
         ("IM", "RSIM"): "IM R RSIM",
-        ("RSIM", "H"): "RSIM H", ("RSIM", "E"): "RSIM E", ("RSIM", "R"): "RSIM R",
+        ("RSIM", "H"): "RSIM E H", ("RSIM", "E"): "RSIM E", ("RSIM", "R"): "RSIM R",
         ("RSIM", "IM"): "RSIM R IM",
     },
 }
