@@ -2,15 +2,29 @@
 
 Vertices are all sentences of size n; there is an edge I -> J (J != I)
 weighted by the number of standard tableaux of shape I whose colored descent
-composition is J.  For the immaculate variant every edge strictly decreases
-the word-length composition in lexicographic order, so the graph is acyclic
-and signed path sums invert the L matrix.  That order is also topological,
-so inverse rows and columns are computed by a sweep over the vertices in
-increasing word-length order, which finishes every out-neighbour of a vertex
-before the vertex itself; the rows are cached on the graph.  The row-strict
-variant is NOT acyclic in general (already at n = 2 the shapes (aa) and
-(a,a) form a 2-cycle), so it is built only for export (`graph --row-strict`)
-and the routes read the one cached immaculate graph per degree,
+composition is J: the out-edges of I are its L row off the diagonal, and the
+in-edges of J its L column.  For the immaculate variant every edge strictly
+decreases the word-length composition in lexicographic order, so the graph
+is acyclic and signed path sums invert the L matrix.  That order is also
+topological, so inverse rows and columns are sweeps over the vertices in
+increasing word-length order, not path enumerations.  A row sweep finishes
+every out-neighbour of a vertex before the vertex itself; a column sweep
+pushes each finished entry to the in-neighbours of its vertex, so it reads
+in-edges only.
+
+Each sweep takes a step function, the out- or in-edges of a vertex.  On a
+built graph (inverse_row, inverse_column) these are its stored edges, and the
+inverse rows are cached on the graph.  By key (inverse_row_by_key,
+inverse_column_by_key) they are tableaux.ell_row and tableaux.ell_column,
+which read one row or column from the standard fillings, so a sweep reads
+only the closure of its vertex; this is how the conversion routes invert L,
+with bounded caches.  The column walk by key is thus a combinatorial
+description of the graph's in-edges: the shapes J with an edge into C are
+the fillings of C's descent set with C's reading word put back in box order.
+
+The row-strict variant is NOT acyclic in general (already at n = 2 the
+shapes (aa) and (a,a) form a 2-cycle), so it is built only for export
+(`graph --row-strict`); the routes read the immaculate inverses,
 complementing the indices of the row-strict bases (see qsym and nsym).
 """
 
@@ -18,10 +32,11 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import OrderedDict
 from functools import lru_cache
 
 from .sentences import Alphabet, Sentence, sentence_count, sentence_str, sort_sentences, word_lengths
-from .tableaux import IMMACULATE, _check_variant, ell_table
+from .tableaux import IMMACULATE, _check_variant, ell_column, ell_row, ell_table
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -51,14 +66,18 @@ class DescentGraph:
     def out_edges(self, i: Sentence) -> dict:
         return self.edges.get(i, {})
 
-    def in_neighbors(self, j: Sentence) -> list:
+    def in_edges(self, j: Sentence) -> dict:
+        """{source: weight} over the edges into j."""
         if self._rev is None:
             rev = {}
             for v, targets in self.edges.items():
-                for t in targets:
-                    rev.setdefault(t, []).append(v)
+                for t, w in targets.items():
+                    rev.setdefault(t, {})[v] = w
             self._rev = rev
-        return self._rev.get(j, [])
+        return self._rev.get(j, {})
+
+    def in_neighbors(self, j: Sentence) -> list:
+        return list(self.in_edges(j))
 
     def __repr__(self):
         return f"<DescentGraph n={self.degree} {self.variant} |V|={len(self.vertices)}>"
@@ -113,62 +132,111 @@ def _require_acyclic(g: DescentGraph) -> None:
         )
 
 
-def _closure(root: Sentence, step, known=()) -> set:
+def _closure(root: Sentence, step, known=()) -> dict:
     """root and every vertex reached from it through step, never entering a
-    vertex of known."""
-    seen = {root}
+    vertex of known, each mapped to its step (the dict of its neighbours)."""
+    steps = {}
     stack = [root]
     while stack:
-        for j in step(stack.pop()):
-            if j not in seen and j not in known:
-                seen.add(j)
-                stack.append(j)
-    return seen
+        v = stack.pop()
+        if v not in steps:
+            steps[v] = out = step(v)
+            stack.extend(j for j in out if j not in steps and j not in known)
+    return steps
 
 
-def _row(g: DescentGraph, i: Sentence) -> dict:
-    """The cached inverse row of i; callers must not mutate it.  A cached
-    row's descendants are cached too, so the sweep only visits the vertices
-    below i that have no row yet, sinks first."""
-    _require_acyclic(g)
-    rows = g._rows
-    if i not in rows:
-        for v in sorted(_closure(i, g.out_edges, rows), key=word_lengths):
-            row = {v: 1}
-            for j, w in g.out_edges(v).items():
-                for k, c in rows[j].items():
+def _row_sweep(i: Sentence, out_edges, memo) -> dict:
+    """The inverse row of i, row_v = e_v - sum over edges v -> j of
+    w_vj * row_j, swept over the descendants of i in increasing word-length
+    order.  memo maps vertices to finished rows: the sweep does not enter
+    them, and adds the rows it makes.  out_edges may list v itself (the L
+    diagonal), which is skipped.  Callers must not mutate the row."""
+    if i in memo:
+        return memo[i]
+    steps = _closure(i, out_edges, memo)
+    rows = {}
+    for v in sorted(steps, key=word_lengths):
+        row = {v: 1}
+        for j, w in steps[v].items():
+            if j != v:
+                for k, c in (rows[j] if j in rows else memo[j]).items():
                     row[k] = row.get(k, 0) - w * c
-            rows[v] = {k: c for k, c in row.items() if c}
+        rows[v] = {k: c for k, c in row.items() if c}
+    memo.update(rows)
     return rows[i]
+
+
+def _column_sweep(k: Sentence, in_edges) -> dict:
+    """The inverse column of k, {i: inverse coefficient from i to k}, from
+    in-edges alone: over the ancestors of k in increasing word-length order,
+    each finished entry col_j is pushed as -col_j * w_ij to every
+    in-neighbour i, which comes later since its word lengths are larger.
+    in_edges may list j itself (the L diagonal), which is skipped."""
+    steps = _closure(k, in_edges)
+    pending = {k: 1}
+    col = {}
+    for j in sorted(steps, key=word_lengths):
+        c = pending.pop(j, 0)
+        if c:
+            col[j] = c
+            for i, w in steps[j].items():
+                if i != j:
+                    pending[i] = pending.get(i, 0) - w * c
+    return col
 
 
 def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
     """Signed sum over directed paths from i to k of the product of edge
     weights: entry k of the swept inverse row of i (see inverse_row), and 0
     when k is not reachable from i."""
-    return _row(g, i).get(k, 0)
+    _require_acyclic(g)
+    return _row_sweep(i, g.out_edges, g._rows).get(k, 0)
 
 
 def inverse_row(g: DescentGraph, i: Sentence) -> dict:
-    """All nonzero inverse coefficients from i, as a fresh dict.  Rows are
-    computed by the sweep row_v = e_v - sum over edges v -> j of
-    w_vj * row_j, in increasing word-length order, and cached on the graph."""
-    return dict(_row(g, i))
+    """All nonzero inverse coefficients from i, as a fresh dict: the row
+    sweep over the graph's out-edges, its rows cached on the graph."""
+    _require_acyclic(g)
+    return dict(_row_sweep(i, g.out_edges, g._rows))
 
 
 def inverse_column(g: DescentGraph, k: Sentence) -> dict:
     """All nonzero inverse coefficients into k, indexed by the source: the
-    sweep col_i = delta_ik - sum over edges i -> j of w_ij * col_j over the
-    ancestors of k, in increasing word-length order."""
+    column sweep over the graph's in-edges."""
     _require_acyclic(g)
-    col = {}
-    for i in sorted(_closure(k, g.in_neighbors), key=word_lengths):
-        c = 1 if i == k else 0
-        for j, w in g.out_edges(i).items():
-            c -= w * col.get(j, 0)
-        if c:
-            col[i] = c
-    return col
+    return _column_sweep(k, g.in_edges)
+
+
+# ---------------------------------------------------------------------------
+# inverse rows and columns by key: the same sweeps over tableaux.ell_row and
+# tableaux.ell_column, so a sweep reads the rows or columns of its closure
+# and nothing else of the degree.  Results are shared; callers must not
+# mutate them.
+
+INVERSE_ROW_CACHE = 8192
+_inverse_rows = OrderedDict()  # vertex -> inverse row, least recent first
+
+
+def _ell_out_edges(i: Sentence) -> dict:
+    # the degree-0 row's one key, ("",), is its diagonal entry
+    return ell_row(i, IMMACULATE) if i else {}
+
+
+def inverse_row_by_key(i: Sentence) -> dict:
+    """inverse_row of the degree's immaculate graph, without the graph: the
+    row sweep over L rows by key, with a bounded cache of inverse rows."""
+    row = _row_sweep(i, _ell_out_edges, _inverse_rows)
+    _inverse_rows.move_to_end(i)
+    while len(_inverse_rows) > INVERSE_ROW_CACHE:
+        _inverse_rows.popitem(last=False)
+    return row
+
+
+@lru_cache(maxsize=1024)
+def inverse_column_by_key(k: Sentence) -> dict:
+    """inverse_column of the degree's immaculate graph, without the graph:
+    the column sweep over L columns by key."""
+    return _column_sweep(k, ell_column)
 
 
 def reachable(g: DescentGraph, root: Sentence) -> list:

@@ -11,8 +11,9 @@ alternating sign.  This enumeration is finite term by term, unlike the
 defining sum over all words.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
-Mobius maps between H, E and R, the L columns R -> IM/RSIM, the creation
-operators IM -> H and RSIM -> E, and the descent-graph columns IM/RSIM -> R.
+Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, the
+creation operators IM -> H and RSIM -> E, and the descent-graph columns
+IM/RSIM -> R (a column sweep over L columns by key).
 So H and E reach IM and RSIM, and IM and RSIM reach each other, through R,
 and RSIM reaches H through E.
 """
@@ -40,7 +41,7 @@ from .sentences import (
     suffix_removals,
     word_lengths,
 )
-from .tableaux import ell_columns
+from .tableaux import ell_column
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +161,13 @@ def _e_to_r(e: Expr) -> Expr:
     return out
 
 
-def _ell_column(alphabet, c):
-    return ell_columns(alphabet, size(c)).get(c, {})
-
-
 # R_C is the sum over shapes J of L[J][C] IM_J (the transpose of DI -> F).
 # psi fixes R up to complementing the index and sends IM to RSIM, so R_C is
 # also the sum of L[J][complement(C)] RSIM_J.  H and E reach IM and RSIM
 # through R, so no route builds the Kostka columns (the coarsening map
 # H -> R composed with these L columns).
-_r_to_im = row_route("IM", _ell_column)
-_r_to_rsim = row_route("RSIM", lambda alphabet, c: _ell_column(alphabet, complement(c)))
+_r_to_im = row_route("IM", lambda alphabet, c: ell_column(c))
+_r_to_rsim = row_route("RSIM", lambda alphabet, c: ell_column(complement(c)))
 
 # the creation operators give IM in H; psi swaps H and E and sends IM to
 # RSIM, so the row-strict immaculate of j is the same row with H relabelled E
@@ -178,14 +175,12 @@ _im_to_h = row_route("H", _imm_h_row)
 _rsim_to_e = row_route("E", _imm_h_row)
 
 
-def _im_in_r(alphabet: Alphabet, j: Sentence) -> dict:
-    return dg.inverse_column(dg.cached_graph(alphabet, size(j)), j)
-
-
-_im_to_r = row_route("R", _im_in_r)
+# the inverse of R -> IM, column by column of the descent graph
+_im_to_r = row_route("R", lambda alphabet, j: dg.inverse_column_by_key(j))
 # psi fixes R up to complementing the index and sends IM to RSIM
 _rsim_to_r = row_route(
-    "R", lambda alphabet, j: {complement(i): c for i, c in _im_in_r(alphabet, j).items()}
+    "R",
+    lambda alphabet, j: {complement(i): c for i, c in dg.inverse_column_by_key(j).items()},
 )
 
 

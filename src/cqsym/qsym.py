@@ -3,9 +3,9 @@ dual immaculate) bases, conversions, Hopf operations, the psi involution,
 uncoloring, and a truncated polynomial realization used as a product oracle.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
-tableau expansions DI/RSDI -> F (the immaculate L rows of the standard data,
-complemented for RSDI), the Mobius pair M <-> F, the descent-graph inversion
-F -> DI, and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
+tableau expansions DI/RSDI -> F (one L row by key per term), the Mobius pair
+M <-> F, the descent-graph inversion F -> DI (a row sweep over L rows by
+key), and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
 and DI <-> RSDI, goes through F, so no route builds the Kostka matrix (L
 composed with F -> M).
 """
@@ -23,10 +23,9 @@ from .sentences import (
     quasishuffle,
     refinements,
     reversal,
-    size,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, row_strict_row, standard_data
+from .tableaux import IMMACULATE, ROW_STRICT, ell_row
 
 
 # single-step routes ---------------------------------------------------
@@ -48,22 +47,12 @@ def _m_to_f(e: Expr) -> Expr:
     return out
 
 
-# one shape's L row, read from the cached standard data (ell_table would
-# rebuild the whole degree's table per term)
-def _ell_row(alphabet, j):
-    return standard_data(alphabet, size(j))[j]
-
-
-def _inverse_row(alphabet, i):
-    return dg.inverse_row(dg.cached_graph(alphabet, size(i)), i)
-
-
-# psi sends F_I to F_{I^c} and DI to RSDI, so each row-strict route is the
-# immaculate one with the F indices complemented
-_di_to_f = row_route("F", _ell_row)
-_rsdi_to_f = row_route("F", lambda alphabet, j: row_strict_row(_ell_row(alphabet, j)))
-_f_to_di = row_route("DI", _inverse_row)
-_f_to_rsdi = row_route("RSDI", lambda alphabet, i: _inverse_row(alphabet, complement(i)))
+# psi sends F_I to F_{I^c} and DI to RSDI, so F -> RSDI is F -> DI with the
+# F indices complemented
+_di_to_f = row_route("F", lambda alphabet, j: ell_row(j, IMMACULATE))
+_rsdi_to_f = row_route("F", lambda alphabet, j: ell_row(j, ROW_STRICT))
+_f_to_di = row_route("DI", lambda alphabet, i: dg.inverse_row_by_key(i))
+_f_to_rsdi = row_route("RSDI", lambda alphabet, i: dg.inverse_row_by_key(complement(i)))
 
 
 _ROUTES = {

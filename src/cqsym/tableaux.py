@@ -16,8 +16,15 @@ t+1 sits in a strictly lower row, and a row-strict descent when t+1 sits in a
 weakly higher row.  The colored descent composition splits the reading word
 (colors in value order) after each descent.  So each t < n is a descent of
 exactly one variant, and the row-strict descent composition of a filling is
-the complement of its immaculate one: only the immaculate L table is stored,
-and the row-strict one is read from it with every key complemented.
+the complement of its immaculate one.
+
+The L matrix is read two ways.  By key: ell_row and ell_column read one row
+or one column from a per-degree index of the standard fillings, which
+depends only on the degree (B_n fillings), and every conversion route reads
+L this way.  By degree: standard_data holds every immaculate row of a
+degree, ell_table reads the row-strict ones from it with every key
+complemented, and ell_columns is its transpose; these whole-degree views
+serve descent_graph.build (so `graph` and `coeffs`) and the tests.
 
 One filler, `fillings`, enumerates tableaux by shape for both variants: on
 straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
@@ -38,7 +45,6 @@ from .sentences import (
     all_words,
     complement,
     flatten,
-    maximal_word,
     refinements,
     sentence_str,
     size,
@@ -299,6 +305,91 @@ def row_strict_row(row: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# L rows and columns by key
+#
+# A standard filling is its sequence of rows r_1, ..., r_n, a restricted
+# growth string (row r opens only after row r-1), so a degree has only B_n
+# fillings whatever the alphabet: 52 at n = 5, 203 at n = 6, 4,140 at n = 8.
+# _filling_index walks them once per degree and files each one twice.
+#
+# * By its word lengths: the getter that reads a maximal word in value order,
+#   with the slices that cut that reading after each immaculate descent, and
+#   the complementary slices that cut it after each row-strict one.  So
+#   ell_row colors the maximal word of one shape at each filling of its word
+#   lengths and cuts it there, for either variant, with no complement.
+# * By the word lengths of its immaculate descent composition: the getter
+#   that puts a reading word back in box order (the inverse permutation),
+#   with the slices of its rows.  So ell_column puts the reading word of C
+#   into the boxes of each filling whose descent set is C's cut set, and
+#   reads off one shape J per filling: L[J][C] counts them.  Inside a word of
+#   C the row index does not increase, and at each cut it strictly does.
+#
+# A row walks the f^J fillings of one shape, a column the fillings of one
+# descent set; neither reads the rest of the degree.  Both keep a bounded
+# cache, and neither depends on the alphabet.
+
+def _empty_reading(word: str) -> str:
+    return ""
+
+
+def _cutter(slices: tuple):
+    """The getter that cuts a word into the tuple of its slices."""
+    if len(slices) > 1:
+        return itemgetter(*slices)
+    return lambda word: tuple(word[s] for s in slices)
+
+
+@lru_cache(maxsize=16)
+def _filling_index(n: int) -> tuple:
+    """({(word lengths, variant): [(read, cut)]}, {descent lengths:
+    [(unread, cut rows)]}) over the standard fillings of n."""
+    by_shape, by_descents = {}, {}
+    for lengths in all_compositions(n):
+        rows = _cutter(_row_slices(lengths))
+        immaculate = by_shape[lengths, IMMACULATE] = []
+        row_strict = by_shape[lengths, ROW_STRICT] = []
+
+        def visit(perm, cuts):
+            read = itemgetter(*perm) if perm else _empty_reading
+            inverse = [0] * n
+            for t, p in enumerate(perm):
+                inverse[p] = t
+            unread = itemgetter(*inverse) if inverse else _empty_reading
+            descents = set(cuts[1:-1])
+            strict = [0] + [t for t in range(1, n) if t not in descents] + [n]
+            immaculate.append((read, _cutter(tuple(map(slice, cuts, cuts[1:])))))
+            row_strict.append((read, _cutter(tuple(map(slice, strict, strict[1:])))))
+            key = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+            by_descents.setdefault(key, []).append((unread, rows))
+
+        _standard_walk(lengths, visit)
+    return by_shape, by_descents
+
+
+@lru_cache(maxsize=512)
+def ell_row(shape: Sentence, variant: str, /) -> Counter:
+    """The L row of one shape, {descent composition: count}: the entry
+    ell_table(alphabet, n, variant)[shape], keys in the same order, read from
+    the fillings of the shape's word lengths alone.  The variant is
+    positional, so each row has one cache key; callers must not mutate it."""
+    _check_variant(variant)
+    word = "".join(shape)
+    fillings = _filling_index(len(word))[0][word_lengths(shape), variant]
+    return Counter([cut("".join(read(word))) for read, cut in fillings])
+
+
+@lru_cache(maxsize=512)
+def ell_column(comp: Sentence) -> Counter:
+    """The immaculate L column of a descent composition, {shape: count}:
+    the entry ell_columns(alphabet, n).get(comp, {}), read from the fillings
+    whose descent set is comp's cut set alone.  The row-strict column of C
+    is the immaculate column of complement(C).  Callers must not mutate it."""
+    reading = "".join(comp)
+    fillings = _filling_index(len(reading))[1].get(word_lengths(comp), ())
+    return Counter([rows("".join(unread(reading))) for unread, rows in fillings])
+
+
+# ---------------------------------------------------------------------------
 # enumeration by shape and (weak) type
 #
 # One filler serves straight shapes (inner shape ()) and skew shapes, with a
@@ -389,10 +480,8 @@ def kostka(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> int:
 
 def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int:
     """Number of standard tableaux of the shape whose colored descent
-    composition (of the variant) equals comp."""
-    if _check_variant(variant) == ROW_STRICT:
-        comp = complement(comp)
-    return _descent_data(word_lengths(shape), [maximal_word(shape)])[0][comp]
+    composition (of the variant) equals comp: one entry of its L row."""
+    return ell_row(shape, variant).get(comp, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +494,11 @@ def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int
 # shape's maximal word at the filling's positions, cut at its descents.  A
 # row-strict row is the immaculate one with its keys complemented, built
 # when read.  K[J][B] counts standard fillings whose descent composition
-# coarsens B.  kostka_table and kostka_columns are reference views for the
-# tests: no conversion route calls them, since each reads L and the
-# refinement or coarsening map instead.  They take the variant positionally
-# and without a default, so each table has one cache key.
+# coarsens B.  No conversion route reads these tables: each reads L rows and
+# columns by key (above), and K is L composed with the refinement or
+# coarsening map.  kostka_table and kostka_columns are reference views for
+# the tests.  They take the variant positionally and without a default, so
+# each table has one cache key.
 
 @lru_cache(maxsize=None)
 def standard_data(alphabet: Alphabet, n: int) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from cqsym import descent_graph as dg
 from cqsym.sentences import Alphabet, all_sentences, complement, word_lengths
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_table, enumerate_standard
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_column, ell_table, enumerate_standard
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -141,6 +141,51 @@ def test_inverse_column_matches_rows():
         col = dg.inverse_column(g, k)
         for i in g.vertices:
             assert col.get(i, 0) == dg.inverse_coeff(g, i, k)
+
+
+def _by_key_cases():
+    for alphabet, top in ((A, 7), (AB, 5), (ABC, 4)):
+        for n in range(1, top + 1):
+            yield dg.cached_graph(alphabet, n)
+
+
+def test_sweeps_by_key_match_the_graph():
+    for g in _by_key_cases():
+        for v in g.vertices:
+            assert dg.inverse_row_by_key(v) == dg.inverse_row(g, v), v
+            assert dg.inverse_column_by_key(v) == dg.inverse_column(g, v), v
+    # degree 0: the empty sentence alone, whose L row is its diagonal entry
+    assert dg.inverse_row_by_key(()) == {(): 1}
+    assert dg.inverse_column_by_key(()) == {(): 1}
+    with pytest.raises(ValueError):
+        dg.build(0, AB)
+
+
+def test_sweep_by_key_survives_a_small_row_cache(monkeypatch):
+    # an evicted row's ancestors may stay cached: a later sweep re-enters
+    # only the vertices it cannot read from the cache
+    monkeypatch.setattr(dg, "INVERSE_ROW_CACHE", 3)
+    dg._inverse_rows.clear()
+    try:
+        for g in (dg.cached_graph(AB, 4), dg.cached_graph(ABC, 3)):
+            for v in reversed(g.vertices):
+                assert dg.inverse_row_by_key(v) == dg.inverse_row(g, v), v
+                assert len(dg._inverse_rows) <= 3
+    finally:
+        dg._inverse_rows.clear()
+
+
+def test_ell_columns_are_the_graph_in_edges():
+    # the column walk by key gives the in-edges of the descent graph, the
+    # diagonal entry aside
+    for alphabet, top in ((AB, 6), (ABC, 5)):
+        for n in range(1, top + 1):
+            g = dg.cached_graph(alphabet, n)
+            for j in g.vertices:
+                column = dict(ell_column(j))
+                assert column.pop(j) == 1
+                assert column == g.in_edges(j), j
+                assert sorted(column) == sorted(g.in_neighbors(j))
 
 
 def test_cached_graph_ignores_how_the_variant_is_passed():

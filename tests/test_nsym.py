@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cqsym import descent_graph as dg
 from cqsym import nsym, qsym
 from cqsym.exprs import Expr, UncoloredExpr, parse, row_route
 from cqsym.sentences import (
@@ -14,7 +15,7 @@ from cqsym.sentences import (
     refinements,
     size,
 )
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, kostka, kostka_columns
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_columns, kostka, kostka_columns
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -134,6 +135,39 @@ def test_h_and_e_to_immaculate_match_the_kostka_columns():
     for (src, dst), variant in _KOSTKA_COLUMN_ROUTES.items():
         reference = row_route(dst, _kostka_column(variant))
         for alphabet, terms in cases:
+            e = Expr(src, alphabet, terms)
+            assert nsym.convert(e, dst) == reference(e), (src, dst, terms)
+
+
+# the whole-degree routes that the L columns by key replaced, kept as
+# references: the transposed standard data and the built descent graph
+def _table_column(complemented):
+    def column(alphabet, c):
+        c = complement(c) if complemented else c
+        return ell_columns(alphabet, size(c)).get(c, {})
+
+    return column
+
+
+def _graph_column(complemented):
+    def column(alphabet, j):
+        col = dg.inverse_column(dg.cached_graph(alphabet, size(j)), j)
+        return {complement(i): v for i, v in col.items()} if complemented else col
+
+    return column
+
+
+_WHOLE_DEGREE_ROUTES = {
+    ("R", "IM"): row_route("IM", _table_column(False)),
+    ("R", "RSIM"): row_route("RSIM", _table_column(True)),
+    ("IM", "R"): row_route("R", _graph_column(False)),
+    ("RSIM", "R"): row_route("R", _graph_column(True)),
+}
+
+
+def test_routes_by_key_match_the_whole_degree_routes():
+    for alphabet, terms in _cases():
+        for (src, dst), reference in _WHOLE_DEGREE_ROUTES.items():
             e = Expr(src, alphabet, terms)
             assert nsym.convert(e, dst) == reference(e), (src, dst, terms)
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cqsym import descent_graph as dg
 from cqsym import qsym
 from cqsym.exprs import Expr, UncoloredExpr, parse, row_route
-from cqsym.sentences import Alphabet, all_sentences, canonical_key, size
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, kostka_table
+from cqsym.sentences import Alphabet, all_sentences, canonical_key, complement, size
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_table, kostka_table
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -126,6 +127,34 @@ def test_dual_immaculate_twins_convert_through_f_as_through_m():
             e = Expr(src, alphabet, terms)
             through_m = qsym.convert(qsym.convert(e, "M"), dst)
             assert qsym.convert(e, dst) == through_m, (src, terms)
+
+
+# the whole-degree routes that the L rows by key replaced, kept as
+# references: the cached standard data and the built descent graph
+def _table_row(variant):
+    return lambda alphabet, j: ell_table(alphabet, size(j), variant)[j]
+
+
+def _graph_row(complemented):
+    def row(alphabet, i):
+        return dg.inverse_row(dg.cached_graph(alphabet, size(i)), complement(i) if complemented else i)
+
+    return row
+
+
+_WHOLE_DEGREE_ROUTES = {
+    ("DI", "F"): row_route("F", _table_row(IMMACULATE)),
+    ("RSDI", "F"): row_route("F", _table_row(ROW_STRICT)),
+    ("F", "DI"): row_route("DI", _graph_row(False)),
+    ("F", "RSDI"): row_route("RSDI", _graph_row(True)),
+}
+
+
+def test_routes_by_key_match_the_whole_degree_routes():
+    for alphabet, terms in _kostka_cases():
+        for (src, dst), reference in _WHOLE_DEGREE_ROUTES.items():
+            e = Expr(src, alphabet, terms)
+            assert qsym.convert(e, dst) == reference(e), (src, dst, terms)
 
 
 def test_kostka_matrix_unitriangular():

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from cqsym import descent_graph as dg
 from cqsym import nsym, poset, qsym
 from cqsym.exprs import Expr, side
 from cqsym.sentences import Alphabet, all_sentences, is_refinement, refinements, word_lengths
@@ -11,13 +12,16 @@ from cqsym.tableaux import (
     ROW_STRICT,
     Tableau,
     ell_coeff,
+    ell_column,
     ell_columns,
+    ell_row,
     ell_table,
     enumerate_standard,
     enumerate_tableaux,
     kostka,
     kostka_columns,
     kostka_table,
+    row_strict_row,
     standard_data,
 )
 
@@ -263,6 +267,34 @@ def test_cached_tables_take_variant_positionally():
         assert table(AB, 3, IMMACULATE) is table(AB, 3, IMMACULATE)
     # the L columns are immaculate only: one entry per degree
     assert ell_columns(AB, 3) is ell_columns(AB, 3)
+    # likewise one entry per L row by key
+    shape = ("ab", "a")
+    with pytest.raises(TypeError):
+        ell_row(shape)
+    with pytest.raises(TypeError):
+        ell_row(shape, variant=IMMACULATE)
+    assert ell_row(shape, IMMACULATE) is ell_row(shape, IMMACULATE)
+    with pytest.raises(ValueError):
+        ell_row(shape, "strict")
+
+
+def test_rows_and_columns_by_key_match_the_tables():
+    # every row in the table's key order, both variants: the row-strict row
+    # is read from its own slices, and equals the immaculate one complemented
+    for alphabet, top in ((Alphabet("a"), 7), (AB, 5), (ABC, 4)):
+        for n in range(top + 1):
+            table = standard_data(alphabet, n)
+            for shape, row in table.items():
+                assert list(ell_row(shape, IMMACULATE).items()) == list(row.items()), shape
+                strict = ell_row(shape, ROW_STRICT)
+                assert list(strict.items()) == list(row_strict_row(row).items()), shape
+            columns = ell_columns(alphabet, n)
+            for comp in list(table) if n else [(), ("",)]:
+                assert ell_column(comp) == columns.get(comp, {}), comp
+    # degree 0: the empty filling reads "" cut nowhere
+    assert ell_row((), IMMACULATE) == ell_row((), ROW_STRICT) == {("",): 1}
+    assert ell_column(("",)) == {(): 1}
+    assert ell_column(()) == {}
 
 
 # the conversion routes (the expand routes of perfbench/queries.py)
@@ -272,6 +304,35 @@ _EXPAND_ROUTES = (
     ("H", "IM"), ("H", "RSIM"), ("E", "IM"), ("E", "RSIM"), ("R", "IM"), ("R", "RSIM"),
     ("IM", "H"), ("IM", "R"), ("RSIM", "H"), ("RSIM", "R"),
 )
+
+
+def test_no_conversion_builds_a_whole_degree():
+    # every route reads L rows and columns by key and sweeps them by key:
+    # the whole-degree standard data, L columns and descent graph stay
+    # views for `graph`, `coeffs` and the tests
+    caches = (standard_data, ell_columns, dg.cached_graph)
+    for cache in caches:
+        cache.cache_clear()
+    for alphabet, (j, k) in ((AB, (("ab", "ba"), ("b", "aab"))), (ABC, (("ca", "b"), ("b", "ac")))):
+        for src, dst in _EXPAND_ROUTES:
+            convert = qsym.convert if side(src) == "qsym" else nsym.convert
+            convert(Expr.basis(src, j, alphabet), dst)
+        for variant, dual in ((IMMACULATE, "DI"), (ROW_STRICT, "RSDI")):
+            for target in ("M", "F", dual):
+                poset.skew_expand(j, j[:1], target, alphabet, variant)
+            poset.coproduct_di(j, alphabet, variant)
+            qsym.coproduct(Expr.basis(dual, k, alphabet))
+        qsym.product(Expr.basis("DI", j[:1], alphabet), Expr.basis("RSDI", k[1:], alphabet))
+        nsym.product(Expr.basis("IM", j[:1], alphabet), Expr.basis("RSIM", k[1:], alphabet))
+        nsym.pair(Expr.basis("IM", j, alphabet), Expr.basis("DI", k, alphabet))
+        nsym.pair(Expr.basis("RSIM", j, alphabet), Expr.basis("RSDI", k, alphabet))
+        for tag in ("DI", "RSDI"):
+            qsym.psi(Expr.basis(tag, j, alphabet))
+        for tag in ("IM", "RSIM"):
+            nsym.psi(Expr.basis(tag, j, alphabet))
+        poset.structure_constants(j[1:], j[:1], alphabet)
+    for cache in caches:
+        assert cache.cache_info().currsize == 0, cache
 
 
 def test_no_route_builds_the_kostka_matrix():
