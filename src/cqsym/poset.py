@@ -7,25 +7,31 @@ right end of an existing row or as a new bottom row.  Saturated chains from
 the empty sentence are exactly the standard tableaux; chains from a non-empty
 sentence J are the standard skew tableaux of shape I/J.  The poset itself is
 infinite and never materialized beyond the requested intervals.  Skew
-tableaux are enumerated by tableaux.fillings, the filler that also serves
-straight shapes.
+tableaux of every type are enumerated by tableaux.fillings, the filler that
+also serves straight shapes.
 
 The skew function of I/J is defined through the duality pairing: with S the
 (row-strict) immaculate basis and S* its dual, S*_{I/J} is the sum over K of
 <S_J X_K, S*_I> Y_K for any dual pair of bases (X, Y), such as (H, M), (R, F)
-or (S, S*).  Its M coefficients count the skew tableaux of shape I/J by type.
-skew_expand computes that count and converts it to the target basis; the
-pairing definition is the reference the tests check it against.
+or (S, S*).  Its M coefficients count the skew tableaux of shape I/J by type;
+standardizing them gives its F expansion, one F term per standard skew
+tableau: the tableau's reading word cut after each descent of the variant
+(t is an immaculate descent when t+1 sits in a lower row, and the
+row-strict cuts are the complement).  skew_expand walks the standard skew
+tableaux (skew_descent_counts) and converts that F expansion to the target
+basis, and coproduct_di sums one skew expansion per inner shape.  The
+pairing definition, and the count of every skew tableau by type, are the
+references the tests check it against.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import nsym, qsym
 from .exprs import Expr, TensorExpr
 from .sentences import Alphabet, Sentence, containment, sentence_str, size, word_lengths
-from .tableaux import IMMACULATE, Filling, _check_variant, fillings, reading_type
+from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, fillings, row_strict_row
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -184,10 +190,35 @@ def enumerate_skew_tableaux(outer: Sentence, inner: Sentence, variant: str = IMM
 # ---------------------------------------------------------------------------
 # skew expansions, structure constants, coproduct
 
+def skew_descent_counts(outer: Sentence, inner: Sentence, variant: str) -> dict:
+    """The descent compositions of the standard fillings of outer/inner,
+    {composition: count}: the F expansion of the skew (row-strict) dual
+    immaculate function of that shape.  Each filling cuts its reading word
+    after each descent of the variant; the row-strict cuts are the
+    complement of the immaculate ones.  With inner () it is
+    tableaux.ell_row(outer, variant) for a non-empty outer shape; the empty
+    skew shape (inner = outer) has one filling, whose composition is ().
+    inner must be left-contained in outer."""
+    _check_variant(variant)
+    word = "".join(outer)
+    row = Counter()
+    if len(word) == sum(map(len, inner)):
+        row[()] = 1
+        return row
+
+    def visit(perm, cuts):
+        reading = "".join([word[p] for p in perm])
+        row[tuple([reading[a:b] for a, b in zip(cuts, cuts[1:])])] += 1
+
+    _standard_walk(word_lengths(outer), visit, word_lengths(inner))
+    return row if variant == IMMACULATE else row_strict_row(row)
+
+
 def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, variant: str = IMMACULATE) -> Expr:
     """The skew (row-strict) dual immaculate function of shape i/j in the M,
-    F, DI or RSDI basis: the skew tableaux of shape i/j counted by type give
-    the M expansion, which is converted to the target."""
+    F, DI or RSDI basis: each standard skew tableau of shape i/j gives the F
+    term of its descent composition (skew_descent_counts), and the F
+    expansion is converted to the target."""
     _check_variant(variant)
     _require_left_contained(j, i)
     dual_tag = "DI" if variant == IMMACULATE else "RSDI"
@@ -195,10 +226,7 @@ def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, varia
         raise ValueError(
             f"skew target must be M, F or {dual_tag} for the {variant} variant"
         )
-    out = Expr("M", alphabet)
-    for rows in fillings(i, j, variant):
-        out.add_term(reading_type(i, rows, variant), 1)
-    return qsym.convert(out, target)
+    return qsym.convert(Expr("F", alphabet, skew_descent_counts(i, j, variant)), target)
 
 
 def structure_constants(j: Sentence, k: Sentence, alphabet: Alphabet) -> dict:
@@ -212,7 +240,9 @@ def structure_constants(j: Sentence, k: Sentence, alphabet: Alphabet) -> dict:
 
 def coproduct_di(i: Sentence, alphabet: Alphabet, variant: str = IMMACULATE) -> TensorExpr:
     """Coproduct of a (row-strict) dual immaculate basis element: the sum
-    over inner shapes j of (dual of j) tensor (skew expansion of i/j)."""
+    over the inner shapes j left-contained in i of (dual of j) tensor (skew
+    expansion of i/j), each skew expansion read off the standard skew
+    tableaux of i/j and converted from F."""
     _check_variant(variant)
     tag = "DI" if variant == IMMACULATE else "RSDI"
     out = TensorExpr((tag, tag), alphabet)

@@ -51,7 +51,7 @@ class Alphabet:
         return f"Alphabet({''.join(self.colors)!r})"
 
     def word_key(self, w: Word) -> tuple:
-        return tuple(self.index[c] for c in w)
+        return tuple(map(self.index.__getitem__, w))
 
     def check_word(self, w: Word, allow_empty: bool = False) -> Word:
         if not w and not allow_empty:
@@ -329,15 +329,12 @@ def weak_splits(word: Word, parts: int) -> Iterator[tuple]:
 
 # ---------------------------------------------------------------------------
 # canonical order: grade by size, reverse-lex on word lengths, then the
-# alphabet's lexicographic order on maximal words, then split sets
+# alphabet's lexicographic order on maximal words.  The word lengths and the
+# maximal word determine the sentence, so the key is injective.
 
 def canonical_key(s: Sentence, alphabet: Alphabet):
-    return (
-        size(s),
-        tuple(-len(w) for w in s),
-        alphabet.word_key(maximal_word(s)),
-        tuple(sorted(split_positions(s))),
-    )
+    word = "".join(s)
+    return (len(word), tuple([-len(w) for w in s]), alphabet.word_key(word))
 
 
 def canonical_compare(i: Sentence, j: Sentence, alphabet: Alphabet) -> int:

@@ -28,7 +28,9 @@ serve descent_graph.build (so `graph` and `coeffs`) and the tests.
 
 One filler, `fillings`, enumerates tableaux by shape for both variants: on
 straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
-given weak type or with any type.
+given weak type or with any type.  One walker, `_standard_walk`, enumerates
+standard fillings, on straight shapes and (for poset.skew_descent_counts)
+on skew ones.
 """
 
 from __future__ import annotations
@@ -219,44 +221,58 @@ class Tableau(Filling):
 #
 # A standard filling is determined by the sequence of rows receiving the
 # values 1, 2, ..., n: rows fill left to right, and the first-column rule
-# says exactly that row i+1 must not open before row i.  So the fillings
-# depend only on the word lengths.  Each value t < n is a descent of exactly
-# one variant: immaculate when t+1 sits in a lower row, row-strict otherwise.
+# says exactly that the rows open top to bottom.  So the fillings depend
+# only on the word lengths.  Each value t < n is a descent of exactly one
+# variant: immaculate when t+1 sits in a lower row, row-strict otherwise.
+# On a skew shape the inner shape's boxes count as placed: its non-empty
+# rows start open, and only the other rows hold boxes of the first column,
+# so only they open top to bottom.
 
-def _standard_walk(lengths: tuple, visit) -> None:
-    """Call visit(perm, cuts) once per standard filling, in a fixed order:
-    perm[t] is the position in the maximal word of the box holding t+1, and
-    cuts cut the reading word (0 first, n last) after each immaculate
-    descent.  perm is reused between calls."""
-    k, n = len(lengths), sum(lengths)
+def _standard_walk(lengths: tuple, visit, inner: tuple = ()) -> None:
+    """Call visit(perm, cuts) once per standard filling of the skew shape
+    lengths/inner (inner: the word lengths of a left-contained, possibly
+    weak, inner shape), in a fixed order: perm[t] is the position in the
+    maximal word of the box holding t+1, and cuts cut the reading word (0
+    first, n last) after each immaculate descent.  perm is reused between
+    calls."""
+    k = len(lengths)
+    inner += (0,) * (k - len(inner))
     ends = list(accumulate(lengths))
-    free = [0] + ends[:-1]  # the next box of each row
+    starts = [0] + ends[:-1]
+    free = [s + f for s, f in zip(starts, inner)]  # the next box of each row
+    first_column = [r for r in range(k) if not inner[r]] + [k]
+    following = dict(zip(first_column, first_column[1:]))
+    n = sum(lengths) - sum(inner)
     perm, cuts = [], [0]
 
-    def rec(t: int, prev: int, opened: int) -> None:
+    def rec(t: int, prev: int, nxt: int) -> None:
+        # nxt: the top row whose first box is still empty (k if none); it
+        # is the one row that may open
         if t == n:
             visit(perm, cuts + [n])
             return
-        for r in range(min(opened + 1, k)):
+        for r in range(k):
             p = free[r]
             if p == ends[r]:
                 continue
+            if p > starts[r]:
+                after = nxt
+            elif r == nxt:
+                after = following[r]
+            else:
+                continue  # a first-column row below nxt
             free[r] = p + 1
             perm.append(p)
             if r > prev:
                 cuts.append(t)
-                rec(t + 1, r, max(opened, r + 1))
+                rec(t + 1, r, after)
                 cuts.pop()
             else:
-                rec(t + 1, r, opened)
+                rec(t + 1, r, after)
             perm.pop()
             free[r] = p
 
-    first = min(n, 1)  # value 1, if any, opens row 0 and follows no descent
-    if first:
-        free[0] = 1
-        perm.append(0)
-    rec(first, 0, first)
+    rec(0, k, first_column[0])  # value 1 follows no descent
 
 
 def _row_slices(lengths: tuple) -> tuple:

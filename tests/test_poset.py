@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqsym import nsym, poset, qsym
-from cqsym.exprs import Expr, parse
-from cqsym.sentences import Alphabet, all_sentences, complement, size
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, enumerate_standard
+from cqsym.exprs import Expr, TensorExpr, parse
+from cqsym.sentences import Alphabet, all_sentences, complement, from_splits, size
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_row, enumerate_standard, fillings, reading_type
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -101,6 +103,102 @@ def test_skew_m_matches_pairing_definition():
                                 nsym.product(s_j, Expr.basis(x_tag, k, AB)), dual_m
                             )
                             assert skew.coefficient(k) == val, (variant, i, j, y_tag, k)
+
+
+def test_skew_descents_of_straight_shapes_are_the_l_rows():
+    # the walk with an empty inner shape is the straight-shape walk
+    for alphabet, top in ((Alphabet("a"), 7), (AB, 5), (ABC, 4)):
+        for n in range(1, top + 1):
+            for shape in all_sentences(alphabet, n):
+                for variant in (IMMACULATE, ROW_STRICT):
+                    got = poset.skew_descent_counts(shape, (), variant)
+                    assert got == ell_row(shape, variant), (shape, variant)
+
+
+def test_skew_descents_count_the_saturated_chains():
+    # one standard skew tableau per saturated chain from J to I
+    for n in range(5):
+        for i in all_sentences(AB, n):
+            for j in poset.inner_sentences(i):
+                for variant in (IMMACULATE, ROW_STRICT):
+                    count = sum(poset.skew_descent_counts(i, j, variant).values())
+                    assert count == len(poset.chains(j, i)), (i, j, variant)
+
+
+# the reference route for skew functions: every skew filling of I/J, of
+# any type, counted by its type into M, then converted to the target
+
+def reference_skew_m(i, j, alphabet, variant):
+    out = Expr("M", alphabet)
+    for rows in fillings(i, j, variant):
+        out.add_term(reading_type(i, rows, variant), 1)
+    return out
+
+
+def reference_coproduct(i, alphabet, variant):
+    tag = "DI" if variant == IMMACULATE else "RSDI"
+    out = TensorExpr((tag, tag), alphabet)
+    for j in poset.inner_sentences(i):
+        for k, c in qsym.convert(reference_skew_m(i, j, alphabet, variant), tag).terms.items():
+            out.add_term((j, k), c)
+    return out
+
+
+def assert_skew_matches_reference(i, j, alphabet):
+    for variant, dual_tag, _ in FAMILIES:
+        m = reference_skew_m(i, j, alphabet, variant)
+        for target in ("M", "F", dual_tag):
+            got = poset.skew_expand(i, j, target, alphabet, variant)
+            assert got == qsym.convert(m, target), (i, j, variant, target)
+
+
+@pytest.mark.parametrize("alphabet,top", [(AB, 5), (ABC, 4)])
+def test_skew_from_standard_tableaux_matches_the_filling_count(alphabet, top):
+    # every (I, J) with J left-contained in I, J = () and J = I included
+    for n in range(top + 1):
+        for i in all_sentences(alphabet, n):
+            for j in poset.inner_sentences(i):
+                assert_skew_matches_reference(i, j, alphabet)
+
+
+def test_skew_with_a_weak_inner_shape_matches_the_filling_count():
+    # empty inner words leave their rows' first boxes in the first column
+    for i, j in [
+        (("a", "ab", "b"), ("", "a")),
+        (("ab", "a", "ba"), ("", "", "b")),
+        (("a", "ab", "ab"), ("", "a", "")),
+        (("ab", "ba", "a"), ("a", "", "a")),
+    ]:
+        assert_skew_matches_reference(i, j, AB)
+
+
+@pytest.mark.parametrize("alphabet,top", [(AB, 4), (ABC, 3)])
+def test_coproducts_match_the_filling_count(alphabet, top):
+    for n in range(top + 1):
+        for i in all_sentences(alphabet, n):
+            for variant, tag, _ in FAMILIES:
+                want = reference_coproduct(i, alphabet, variant)
+                assert poset.coproduct_di(i, alphabet, variant) == want, (i, variant)
+                assert qsym.coproduct(Expr.basis(tag, i, alphabet)) == want, (i, tag)
+
+
+@st.composite
+def skew_shapes(draw):
+    """(alphabet, outer, inner): an outer sentence of size 1..6 over at most
+    three letters and an inner sentence left-contained in it."""
+    alphabet = Alphabet(draw(st.sampled_from(("a", "ab", "abc"))))
+    n = draw(st.integers(1, 6))
+    word = "".join(draw(st.lists(st.sampled_from(alphabet.colors), min_size=n, max_size=n)))
+    outer = from_splits(word, draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    inner = draw(st.sampled_from(poset.inner_sentences(outer)))
+    return alphabet, outer, inner
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(skew_shapes())
+def test_skew_property_matches_the_filling_count(case):
+    alphabet, outer, inner = case
+    assert_skew_matches_reference(outer, inner, alphabet)
 
 
 # rows of enumerate_skew_tableaux, in list order

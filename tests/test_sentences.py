@@ -311,6 +311,30 @@ def test_canonical_order_is_total():
         assert canonical_compare(a, b, AB) == -canonical_compare(b, a, AB) != 0
 
 
+def four_part_key(s, alphabet):
+    """The earlier canonical key, whose last part, the sorted split
+    positions, is kept here as the reference order."""
+    return (
+        size(s),
+        tuple(-len(w) for w in s),
+        alphabet.word_key("".join(s)),
+        tuple(sorted(split_positions(s))),
+    )
+
+
+def test_canonical_key_orders_as_the_four_part_key():
+    # word lengths and maximal word determine a sentence, so the split
+    # positions never decide the order
+    cases = [(AB, all_sentences(AB, n)) for n in range(6)]
+    cases += [(ABC, all_sentences(ABC, n)) for n in range(5)]
+    mixed = [s for n in (3, 0, 4, 1, 2) for s in all_sentences(AB, n)[::-1]]
+    cases.append((AB, mixed))
+    for alphabet, seq in cases:
+        seq = seq[1::2] + seq[::-2]  # a fixed shuffle of the canonical order
+        want = sorted(seq, key=lambda s: four_part_key(s, alphabet))
+        assert sentences.sort_sentences(seq, alphabet) == want
+
+
 def test_all_sentences_count():
     for n in range(1, 6):
         assert len(all_sentences(AB, n)) == sentence_count(AB, n) == 2**n * 2 ** (n - 1)
