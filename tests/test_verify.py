@@ -1,8 +1,10 @@
+import multiprocessing
+import os
 from contextlib import contextmanager
 
 import pytest
 
-from cqsym import descent_graph, nsym, qsym, verify
+from cqsym import cli, descent_graph, nsym, qsym, verify
 from cqsym.exprs import Expr
 from cqsym.sentences import Alphabet, all_sentences, complement, sentence_str
 from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_row
@@ -124,3 +126,71 @@ def test_duality_reports_a_perturbed_creation_term_like_the_reference(monkeypatc
     assert {f["name"] for f in failures} == {"pair(IM, DI)", "pair(RSIM, RSDI)"}
     assert any(f["expected"] == "0" for f in failures)
     assert _assert_same_report(AB, 3)["failures"] == []
+
+
+# --- the suites on one CPU and in forked workers ----------------------------
+
+def _see_cpus(patch, count):
+    """Make verify see count usable CPUs.  Returns the list that each fork
+    in this process appends its child's pid to."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    patch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("letters,max_degree", [("ab", 4), ("abc", 3)], ids=["ab4", "abc3"])
+def test_forked_workers_report_what_one_cpu_reports(monkeypatch, capsys, suite, letters, max_degree):
+    argv = ["verify", "--alphabet", letters, "--max-degree", str(max_degree), "--json", suite]
+    reports = {}
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            forks = _see_cpus(patch, cpus)
+            report = verify.run(suite, Alphabet(letters), max_degree)
+            assert cli.main(argv) == 0
+            reports[cpus] = (report, capsys.readouterr().out)
+        # two workers for each of the two runs; none on one CPU
+        assert len(forks) == (4 if cpus == 2 else 0)
+        assert multiprocessing.active_children() == []
+    assert reports[2] == reports[1]
+    assert reports[1][0]["failures"] == []
+
+
+def test_a_worker_error_exits_1_with_its_message(monkeypatch, capsys):
+    original = nsym.pieri
+
+    def broken(j, w, alphabet):
+        if len(j) == 2:
+            raise ValueError(f"no Pieri rule for {sentence_str(j)}")
+        return original(j, w, alphabet)
+
+    monkeypatch.setattr(nsym, "pieri", broken)
+    argv = ["verify", "--alphabet", "ab", "--max-degree", "3", "pieri"]
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            forks = _see_cpus(patch, cpus)
+            assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "error: no Pieri rule for a,a\n")
+        assert len(forks) == (2 if cpus == 2 else 0)
+        assert multiprocessing.active_children() == []
+
+
+def test_forked_chunks_keep_the_case_order(monkeypatch):
+    # every suite goes through this map: counts sum, failures in case order
+    cases = [(k, w) for k in range(50) for w in ("a", "bb", "")]
+    results = {}
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            forks = _see_cpus(patch, cpus)
+            results[cpus] = verify._tally(verify._map_cases(lambda c: (len(c[1]), [c]), cases))
+        assert len(forks) == (2 if cpus == 2 else 0)
+    assert results[2] == results[1] == (150, cases)
