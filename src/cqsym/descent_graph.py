@@ -273,19 +273,25 @@ def uncolored_coeffs(n: int) -> dict:
     return out
 
 
+def _export_edges(g: DescentGraph, nodes: list):
+    """(from, to, weight) for the edges between the nodes, in node order and
+    each node's out-edges in canonical order."""
+    node_set = set(nodes)
+    for v in nodes:
+        out = g.out_edges(v)
+        for j in sort_sentences([j for j in out if j in node_set], g.alphabet):
+            yield v, j, out[j]
+
+
 def export_dot(g: DescentGraph, root: Sentence = None) -> str:
     """DOT digraph; vertex labels are sentence strings, edge labels weights.
     With a root, restricts to the subgraph reachable from it."""
     nodes = g.vertices if root is None else reachable(g, root)
-    node_set = set(nodes)
     lines = ["digraph descent_graph {"]
     for v in nodes:
         lines.append(f'  "{sentence_str(v)}";')
-    for v in nodes:
-        targets = [j for j in g.out_edges(v) if j in node_set]
-        for j in sort_sentences(targets, g.alphabet):
-            w = g.out_edges(v)[j]
-            lines.append(f'  "{sentence_str(v)}" -> "{sentence_str(j)}" [label="{w}"];')
+    for v, j, w in _export_edges(g, nodes):
+        lines.append(f'  "{sentence_str(v)}" -> "{sentence_str(j)}" [label="{w}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -293,12 +299,9 @@ def export_dot(g: DescentGraph, root: Sentence = None) -> str:
 def export_csv(g: DescentGraph, root: Sentence = None) -> str:
     """Edge list as CSV rows from,to,weight (fields quoted as needed)."""
     nodes = g.vertices if root is None else reachable(g, root)
-    node_set = set(nodes)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["from", "to", "weight"])
-    for v in nodes:
-        targets = [j for j in g.out_edges(v) if j in node_set]
-        for j in sort_sentences(targets, g.alphabet):
-            writer.writerow([sentence_str(v), sentence_str(j), g.out_edges(v)[j]])
+    for v, j, w in _export_edges(g, nodes):
+        writer.writerow([sentence_str(v), sentence_str(j), w])
     return buf.getvalue()

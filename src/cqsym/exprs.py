@@ -16,15 +16,18 @@ index labels with the rendered term body, and the JSON names of the labels:
 Conversion between tags is explicit.  side_converter makes the convert
 function of each side from its table of single-step routes (see the qsym and
 nsym modules): every pair of tags takes the shortest chain of routes, fixed
-once when the side is imported.  row_route makes a route that replaces each
-term by a row of a transition table.
+once when the side is imported.  row_route makes a map that replaces each
+term by a row of a transition table; every single-step route, and every Hopf
+map that rewrites an expression one term at a time, is one.  side_psi makes
+the psi involution of either side from its convert function: convert to the
+pivot basis, complement the indices (a row route), convert to the image tag.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .sentences import Alphabet, Sentence, canonical_key, parse_sentence, sentence_str
+from .sentences import Alphabet, Sentence, canonical_key, complement, parse_sentence, sentence_str
 
 QSYM_TAGS = ("M", "F", "DI", "RSDI")
 NSYM_TAGS = ("H", "E", "R", "IM", "RSIM")
@@ -78,10 +81,26 @@ def side_converter(which: str, routes: dict):
     return convert
 
 
+def side_psi(convert, pivot: str, tags: dict):
+    """The psi involution of one side from its convert function.  psi
+    complements the indices of the pivot basis (F or R) and sends the basis
+    tagged T to the one tagged tags[T]."""
+    flip = row_route(pivot, lambda alphabet, i: {complement(i): 1})
+
+    def psi(e: Expr) -> Expr:
+        # the inner convert runs first, so it checks the side
+        return convert(flip(convert(e, pivot)), tags[e.tag])
+
+    swaps = ", ".join(f"{a} -> {b}" for a, b in tags.items())
+    psi.__doc__ = f"The involution complementing {pivot} indices; sends {swaps}."
+    return psi
+
+
 def row_route(out_tag: str, row):
-    """A conversion that replaces each term c * X_j by c times row(alphabet,
-    j), a dict from out_tag index to coefficient.  The empty index maps to
-    itself."""
+    """A map that replaces each term c * X_j by c times row(alphabet, j), a
+    dict from out_tag index to coefficient.  The empty index maps to itself:
+    true of every route and antipode, but not of the right perp or the
+    creation operators, so nsym.mrperp and nsym.bernstein are not row routes."""
 
     def route(e: Expr) -> Expr:
         out = Expr(out_tag, e.alphabet)
@@ -389,12 +408,11 @@ class _Parser:
         expr = None
         while True:
             coef, s, tag = self.parse_term()
-            term = Expr(tag, self.alphabet, {s: sign * coef})
             if expr is None:
                 expr = Expr(tag, self.alphabet)
             if tag != expr.tag:
                 self.error(f"mixed tags {expr.tag} and {tag} in one expression")
-            expr = expr + term
+            expr.add_term(s, sign * coef)
             self.skip_ws()
             if self.pos == len(self.text):
                 return expr

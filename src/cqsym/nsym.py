@@ -16,19 +16,26 @@ creation operators IM -> H and RSIM -> E, and the descent-graph columns
 IM/RSIM -> R (a column sweep over L columns by key).
 So H and E reach IM and RSIM, and IM and RSIM reach each other, through R,
 and RSIM reaches H through E.
+
+Every single-step route, and the antipode, rewrites an expression one term
+at a time, so each is a row route (exprs.row_route), and psi is the one
+built for both sides by exprs.side_psi, with R as its pivot.  The right perp
+and the creation operators stay loops: a row route maps H[()] to itself,
+but mrperp(s, H[()]) is 0 for s != () and bernstein(v, H[()]) is H[v].
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import descent_graph as dg
 from . import qsym
-from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter, side_psi
 from .sentences import (
     Alphabet,
     Sentence,
     Word,
+    alternating,
     coarsenings,
     complement,
     concat,
@@ -74,21 +81,23 @@ def bernstein(v: Word, e: Expr) -> Expr:
     return out
 
 
+def _sum_terms(pairs) -> dict:
+    """Add up (index, coefficient) pairs into a dict that keeps no zero."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+        if not out[key]:
+            del out[key]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _bernstein_terms(v: Word, j: Sentence) -> dict:
-    out = {}
-    for k, rest in suffix_removals(j):
-        removed = flatten(k)
-        remainder = flatten(rest)
-        for q in refinements(removed):
-            sign = -1 if len(q) % 2 else 1
-            term = (v + maximal_word(reversal(q)),) + remainder
-            new = out.get(term, 0) + sign
-            if new:
-                out[term] = new
-            else:
-                del out[term]
-    return out
+    return _sum_terms(
+        ((v + maximal_word(reversal(q)),) + flatten(rest), -1 if len(q) % 2 else 1)
+        for k, rest in suffix_removals(j)
+        for q in refinements(flatten(k))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -96,15 +105,11 @@ def _imm_h_terms(j: Sentence) -> dict:
     """H expansion of the immaculate function of j, by creation operators."""
     if not j:
         return {(): 1}
-    out = {}
-    for tail, c in _imm_h_terms(j[1:]).items():
-        for s, coef in _bernstein_terms(j[0], tail).items():
-            new = out.get(s, 0) + c * coef
-            if new:
-                out[s] = new
-            else:
-                del out[s]
-    return out
+    return _sum_terms(
+        (s, c * coef)
+        for tail, c in _imm_h_terms(j[1:]).items()
+        for s, coef in _bernstein_terms(j[0], tail).items()
+    )
 
 
 def _imm_h_row(alphabet: Alphabet, j: Sentence) -> dict:
@@ -120,45 +125,14 @@ def immaculate_in_h(j: Sentence, alphabet: Alphabet) -> Expr:
 # ---------------------------------------------------------------------------
 # conversions
 
-def _r_to_h(e: Expr) -> Expr:
-    out = Expr("H", e.alphabet)
-    for i, c in e.terms.items():
-        li = len(i)
-        for j in coarsenings(i):
-            out.add_term(j, -c if (li - len(j)) % 2 else c)
-    return out
-
-
-def _h_to_r(e: Expr) -> Expr:
-    out = Expr("R", e.alphabet)
-    for i, c in e.terms.items():
-        for j in coarsenings(i):
-            out.add_term(j, c)
-    return out
-
-
-def _signed_refinement_sum(e: Expr, out_tag: str) -> Expr:
-    # elementary <-> complete: same signs both ways; the matrix squares to
-    # the identity, which the test suite asserts per degree
-    out = Expr(out_tag, e.alphabet)
-    for i, c in e.terms.items():
-        n = size(i)
-        for j in refinements(i):
-            out.add_term(j, -c if (n - len(j)) % 2 else c)
-    return out
-
-
-_e_to_h = partial(_signed_refinement_sum, out_tag="H")
-_h_to_e = partial(_signed_refinement_sum, out_tag="E")
-
-
-def _e_to_r(e: Expr) -> Expr:
-    # E_J is the sum of the ribbons over the refinements of complement(J)
-    out = Expr("R", e.alphabet)
-    for i, c in e.terms.items():
-        for j in refinements(complement(i)):
-            out.add_term(j, c)
-    return out
+_r_to_h = row_route("H", lambda alphabet, i: alternating(coarsenings(i), len(i)))
+_h_to_r = row_route("R", lambda alphabet, i: dict.fromkeys(coarsenings(i), 1))
+# elementary <-> complete: the same signed refinement sum both ways; the
+# matrix squares to the identity, which the test suite asserts per degree
+_e_to_h = row_route("H", lambda alphabet, i: alternating(refinements(i), size(i)))
+_h_to_e = row_route("E", lambda alphabet, i: alternating(refinements(i), size(i)))
+# E_J is the sum of the ribbons over the refinements of complement(J)
+_e_to_r = row_route("R", lambda alphabet, i: dict.fromkeys(refinements(complement(i)), 1))
 
 
 # R_C is the sum over shapes J of L[J][C] IM_J (the transpose of DI -> F).
@@ -231,27 +205,19 @@ def coproduct_h(e: Expr) -> TensorExpr:
     return out
 
 
+_antipode_h = row_route("H", lambda alphabet, i: alternating(refinements(reversal(i))))
+
+
 def antipode_h(e: Expr) -> Expr:
     """S(H_I) = sum over refinements J of the reversal of I of (-1)^l(J) H_J."""
     if e.tag != "H":
         raise ValueError("antipode_h expects an H-tagged expression")
-    out = Expr("H", e.alphabet)
-    for i, c in e.terms.items():
-        for j in refinements(reversal(i)):
-            out.add_term(j, -c if len(j) % 2 else c)
-    return out
+    return _antipode_h(e)
 
 
 _PSI_TAG = {"H": "E", "E": "H", "R": "R", "IM": "RSIM", "RSIM": "IM"}
 
-
-def psi(e: Expr) -> Expr:
-    """The involution complementing R indices; swaps H with E and the
-    immaculate with the row-strict immaculate basis."""
-    require_side(e, "nsym")
-    r = convert(e, "R")
-    out = Expr("R", e.alphabet, ((complement(i), c) for i, c in r.terms.items()))
-    return convert(out, _PSI_TAG[e.tag])
+psi = side_psi(convert, "R", _PSI_TAG)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ references the tests check it against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, namedtuple
+from itertools import accumulate
 
 from . import nsym, qsym
 from .exprs import Expr, TensorExpr
-from .sentences import Alphabet, Sentence, containment, sentence_str, size, word_lengths
+from .sentences import Alphabet, Sentence, containment, maximal_word, sentence_str, word_lengths
 from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, fillings, row_strict_row
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
@@ -73,34 +75,26 @@ def inner_sentences(i: Sentence) -> list:
 def chains(j: Sentence, i: Sentence) -> list:
     """All saturated chains from j to i in the poset, as lists of cover
     edges.  Chains stay inside the interval: every step extends a row of j
-    toward the corresponding row of i or opens the next row of i."""
+    toward the corresponding row of i or opens the next row of i.  They are
+    the standard fillings of i/j, read value by value."""
     _require_left_contained(j, i)
-    total = size(i) - size(j)
+    word = maximal_word(i)
+    ends = list(accumulate(word_lengths(i)))
     out = []
-    chain = []
 
-    def rec(current: Sentence):
-        if len(chain) == total:
-            out.append(list(chain))
-            return
-        k = len(current)
-        for row in range(1, k + 2):
-            if row <= k:
-                have = len(current[row - 1])
-                if have >= len(i[row - 1]):
-                    continue
-                color = i[row - 1][have]
-                upper = current[: row - 1] + (current[row - 1] + color,) + current[row:]
+    def visit(perm, cuts):
+        chain, current = [], j
+        for p in perm:
+            row, color = bisect_right(ends, p), word[p]
+            if row < len(current):
+                upper = current[:row] + (current[row] + color,) + current[row + 1 :]
             else:
-                if k >= len(i):
-                    continue
-                color = i[k][0]
                 upper = current + (color,)
-            chain.append(CoverEdge(current, upper, row, color))
-            rec(upper)
-            chain.pop()
+            chain.append(CoverEdge(current, upper, row + 1, color))
+            current = upper
+        out.append(chain)
 
-    rec(j)
+    _standard_walk(word_lengths(i), visit, word_lengths(j))
     return out
 
 

@@ -7,7 +7,9 @@ tableau expansions DI/RSDI -> F (one L row by key per term), the Mobius pair
 M <-> F, the descent-graph inversion F -> DI (a row sweep over L rows by
 key), and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
 and DI <-> RSDI, goes through F, so no route builds the Kostka matrix (L
-composed with F -> M).
+composed with F -> M).  Each single-step route, and the antipode, is a row
+route (exprs.row_route), and psi is the one built for both sides by
+exprs.side_psi, with F as its pivot.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import itertools
 from collections import Counter
 
 from . import descent_graph as dg
-from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter
+from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter, side_psi
 from .sentences import (
+    alternating,
     coarsenings,
     complement,
     quasishuffle,
@@ -30,21 +33,8 @@ from .tableaux import IMMACULATE, ROW_STRICT, ell_row
 
 # single-step routes ---------------------------------------------------
 
-def _f_to_m(e: Expr) -> Expr:
-    out = Expr("M", e.alphabet)
-    for i, c in e.terms.items():
-        for j in refinements(i):
-            out.add_term(j, c)
-    return out
-
-
-def _m_to_f(e: Expr) -> Expr:
-    out = Expr("F", e.alphabet)
-    for i, c in e.terms.items():
-        li = len(i)
-        for j in refinements(i):
-            out.add_term(j, -c if (len(j) - li) % 2 else c)
-    return out
+_f_to_m = row_route("M", lambda alphabet, i: dict.fromkeys(refinements(i), 1))
+_m_to_f = row_route("F", lambda alphabet, i: alternating(refinements(i), len(i)))
 
 
 # psi sends F_I to F_{I^c} and DI to RSDI, so F -> RSDI is F -> DI with the
@@ -108,27 +98,21 @@ def coproduct(e: Expr) -> TensorExpr:
     raise ValueError(f"coproduct not defined on tag {e.tag}; convert to M, DI or RSDI first")
 
 
+_antipode_m = row_route(
+    "M", lambda alphabet, i: dict.fromkeys(map(reversal, coarsenings(i)), -1 if len(i) % 2 else 1)
+)
+
+
 def antipode_m(e: Expr) -> Expr:
     """S*(M_I) = (-1)^l(I) sum of M_J over J whose reversal coarsens I."""
     if e.tag != "M":
         raise ValueError("antipode_m expects an M-tagged expression")
-    out = Expr("M", e.alphabet)
-    for i, c in e.terms.items():
-        sign = -c if len(i) % 2 else c
-        for j in coarsenings(i):
-            out.add_term(reversal(j), sign)
-    return out
+    return _antipode_m(e)
 
 
 _PSI_TAG = {"M": "M", "F": "F", "DI": "RSDI", "RSDI": "DI"}
 
-
-def psi(e: Expr) -> Expr:
-    """The involution complementing F indices; swaps DI and RSDI."""
-    require_side(e, "qsym")
-    f = convert(e, "F")
-    out = Expr("F", e.alphabet, ((complement(i), c) for i, c in f.terms.items()))
-    return convert(out, _PSI_TAG[e.tag])
+psi = side_psi(convert, "F", _PSI_TAG)
 
 
 def uncolor(e: Expr) -> UncoloredExpr:

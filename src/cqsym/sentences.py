@@ -205,6 +205,12 @@ def mobius(j: Sentence, i: Sentence) -> int:
     return -1 if (len(j) - len(i)) % 2 else 1
 
 
+def alternating(sentences: Iterable[Sentence], length: int = 0) -> dict:
+    """Each of the distinct sentences j with the sign (-1)^(l(j) - length),
+    the row of a Mobius map or an antipode."""
+    return {j: -1 if (len(j) - length) % 2 else 1 for j in sentences}
+
+
 # ---------------------------------------------------------------------------
 # involutions
 

@@ -100,6 +100,44 @@ def test_parse_render_round_trip_random():
             assert parse(str(e), AB) == e
 
 
+def test_parse_adds_each_term_into_one_expression(monkeypatch):
+    # a sum built by Expr.__add__ copies every term parsed so far, which
+    # makes parsing a long answer (say, one fed back to the CLI) quadratic
+    def no_add(self, other):
+        raise AssertionError("parse must not build its sum with Expr.__add__")
+
+    monkeypatch.setattr(Expr, "__add__", no_add)
+    e = parse("2*M[a,cb,b] - M[abb,c] + 1/2*M[a,cb,b] - M[()]", ABC)
+    assert e.terms == {("a", "cb", "b"): Fraction(5, 2), ("abb", "c"): -1, (): -1}
+    assert not parse("M[a] - M[a]", AB)
+
+
+def test_parse_errors_keep_their_messages_and_positions():
+    cases = {
+        "M[a] + F[a]": ("mixed tags M and F in one expression", 11),
+        "M[a] - 2*M[b] F[a]": ("expected '+' or '-', found 'F'", 14),
+        "-M[a] + 1/2*M[b] + ": ("unknown basis tag at ''", 19),
+        "M[a] + + M[b]": ("unknown basis tag at '+ M['", 7),
+    }
+    for text, (message, pos) in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse(text, AB)
+        assert str(info.value) == f"{message} (at position {pos})", text
+        assert info.value.pos == pos, text
+
+
+def test_long_expression_round_trips_through_str_and_parse():
+    rng = random.Random(15)
+    e = Expr("F", ABC)
+    for n in range(0, 5):
+        for s in all_sentences(ABC, n) if n else [()]:
+            e.add_term(s, Fraction(rng.choice([-7, -2, -1, 1, 3, 9]), rng.choice([1, 1, 2, 5])))
+    assert len(e.terms) == 778  # every sentence of abc n <= 4
+    text = str(e)
+    assert parse(text, ABC) == e
+    assert str(parse(text, ABC)) == text
+
+
 def test_scalar_arithmetic_exact():
     a, b = Fraction(1, 3), Fraction(1, 6)
     assert a + b == Fraction(1, 2)

@@ -1,27 +1,47 @@
-"""Differential property tests: the L rows and columns by key against the
-whole-degree tables, on random sentences over at most three letters.
+"""Differential property tests on random sentences over at most three
+letters: the L rows and columns by key against the whole-degree tables, psi
+as an involution on both sides, and the Mobius maps and antipodes (row
+routes) against their signed sums written out here.
 
 The examples are derandomized and their number fixed, so a run is
 deterministic and its cost bounded."""
 
+from itertools import combinations
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsym.sentences import Alphabet, from_splits
+from cqsym import nsym, qsym
+from cqsym.exprs import NSYM_TAGS, QSYM_TAGS, Expr
+from cqsym.sentences import (
+    Alphabet,
+    complement,
+    from_splits,
+    is_refinement,
+    maximal_word,
+    reversal,
+    size,
+)
 from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_column, ell_row, row_strict_row, standard_data
 
 ALPHABETS = tuple(Alphabet(colors) for colors in ("a", "ab", "abc"))
 
 
-@st.composite
-def sentences(draw):
-    """(alphabet, sentence): a word of size 1..5 over one of the alphabets,
-    split after any set of its positions."""
-    alphabet = draw(st.sampled_from(ALPHABETS))
-    n = draw(st.integers(1, 5))
+def _sentence(draw, alphabet, max_size):
+    """A word of size 1..max_size over the alphabet, split after any set of
+    its positions."""
+    n = draw(st.integers(1, max_size))
     word = "".join(draw(st.lists(st.sampled_from(alphabet.colors), min_size=n, max_size=n)))
     splits = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
-    return alphabet, from_splits(word, splits)
+    return from_splits(word, splits)
+
+
+@st.composite
+def sentences(draw, max_size=5):
+    """(alphabet, sentence), over one of the alphabets."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    return alphabet, _sentence(draw, alphabet, max_size)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -33,3 +53,79 @@ def test_rows_and_columns_by_key_equal_the_table_and_its_transpose(case):
     assert ell_row(s, ROW_STRICT) == row_strict_row(table[s])
     # the transpose, read off the row of every shape
     assert ell_column(s) == {j: row[s] for j, row in table.items() if s in row}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(sentences(max_size=6), st.sampled_from(QSYM_TAGS + NSYM_TAGS))
+def test_psi_is_an_involution_on_both_sides(case, tag):
+    alphabet, s = case
+    e = Expr.basis(tag, s, alphabet)
+    psi = qsym.psi if tag in QSYM_TAGS else nsym.psi
+    assert psi(psi(e)) == e
+
+
+# the references: each map's signed sum over every sentence with the right
+# maximal word, tested by is_refinement, rather than read off the
+# refinement or coarsening lists the routes use
+
+def _splittings(word):
+    """Every sentence with this maximal word."""
+    inner = range(1, len(word))
+    return [from_splits(word, cut) for r in range(len(word)) for cut in combinations(inner, r)]
+
+
+def _finer(i):
+    return [j for j in _splittings(maximal_word(i)) if is_refinement(j, i)]
+
+
+def _coarser(i):
+    return [j for j in _splittings(maximal_word(i)) if is_refinement(i, j)]
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+REFERENCES = {
+    # F_I = sum of M_J over the refinements J of I, and its Mobius inverse
+    "F->M": (qsym._f_to_m, "F", "M", lambda i: {j: 1 for j in _finer(i)}),
+    "M->F": (qsym._m_to_f, "M", "F", lambda i: {j: _sign(len(j) - len(i)) for j in _finer(i)}),
+    # H_I = sum of R_J over the coarsenings J of I, and its Mobius inverse
+    "H->R": (nsym._h_to_r, "H", "R", lambda i: {j: 1 for j in _coarser(i)}),
+    "R->H": (nsym._r_to_h, "R", "H", lambda i: {j: _sign(len(i) - len(j)) for j in _coarser(i)}),
+    # E_I = sum of (-1)^(|I| - l(J)) H_J over the refinements J of I, and back
+    "E->H": (nsym._e_to_h, "E", "H", lambda i: {j: _sign(size(i) - len(j)) for j in _finer(i)}),
+    "H->E": (nsym._h_to_e, "H", "E", lambda i: {j: _sign(size(i) - len(j)) for j in _finer(i)}),
+    "E->R": (nsym._e_to_r, "E", "R", lambda i: {j: 1 for j in _finer(complement(i))}),
+    # S*(M_I) and S(H_I)
+    "antipode M": (
+        qsym.antipode_m, "M", "M", lambda i: {reversal(j): _sign(len(i)) for j in _coarser(i)}
+    ),
+    "antipode H": (
+        nsym.antipode_h, "H", "H", lambda i: {j: _sign(len(j)) for j in _finer(reversal(i))}
+    ),
+}
+
+
+@st.composite
+def combinations_of(draw, tag):
+    """A sum of one to three basis terms of one alphabet, with non-zero
+    integer coefficients."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    e = Expr(tag, alphabet)
+    for _ in range(draw(st.integers(1, 3))):
+        e.add_term(_sentence(draw, alphabet, 6), draw(st.sampled_from((-3, -1, 1, 2))))
+    return e
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mobius_maps_and_antipodes_are_their_signed_sums(name, data):
+    route, source, target, row = REFERENCES[name]
+    e = data.draw(combinations_of(source))
+    want = Expr(target, e.alphabet)
+    for i, c in e.terms.items():
+        for j, coef in row(i).items():
+            want.add_term(j, c * coef)
+    assert route(e) == want
