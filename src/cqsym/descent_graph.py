@@ -12,15 +12,12 @@ every out-neighbour of a vertex before the vertex itself; a column sweep
 pushes each finished entry to the in-neighbours of its vertex, so it reads
 in-edges only.
 
-Each sweep takes a step function, the out- or in-edges of a vertex.  On a
-built graph (inverse_row, inverse_column) these are its stored edges, and the
-inverse rows are cached on the graph.  By key (inverse_row_by_key,
-inverse_column_by_key) they are tableaux.ell_row and tableaux.ell_column,
-which read one row or column from the standard fillings, so a sweep reads
-only the closure of its vertex; this is how the conversion routes invert L,
-with bounded caches.  The column walk by key is thus a combinatorial
-description of the graph's in-edges: the shapes J with an edge into C are
-the fillings of C's descent set with C's reading word put back in box order.
+The sweeps run on a built graph (inverse_row, inverse_column, for `coeffs`
+and the tests).  The conversion routes build no graph: F -> DI and IM -> R
+are each one triangular solve over the whole expression (solve_rows,
+solve_columns), reading one L row or column by key per term of the answer.
+The column walk by key (tableaux.ell_column) is thus a combinatorial
+description of the graph's in-edges.
 
 The row-strict variant is NOT acyclic in general (already at n = 2 the
 shapes (aa) and (a,a) form a 2-cycle), so it is built only for export
@@ -32,8 +29,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import OrderedDict
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .sentences import Alphabet, Sentence, sentence_count, sentence_str, sort_sentences, word_lengths
 from .tableaux import IMMACULATE, _check_variant, ell_column, ell_row, ell_table
@@ -145,34 +142,32 @@ def _closure(root: Sentence, step, known=()) -> dict:
     return steps
 
 
-def _row_sweep(i: Sentence, out_edges, memo) -> dict:
+def _row_sweep(g: DescentGraph, i: Sentence) -> dict:
     """The inverse row of i, row_v = e_v - sum over edges v -> j of
     w_vj * row_j, swept over the descendants of i in increasing word-length
-    order.  memo maps vertices to finished rows: the sweep does not enter
-    them, and adds the rows it makes.  out_edges may list v itself (the L
-    diagonal), which is skipped.  Callers must not mutate the row."""
+    order.  The sweep does not enter vertices whose rows are cached on the
+    graph, and caches the rows it makes.  Callers must not mutate the row."""
+    memo = g._rows
     if i in memo:
         return memo[i]
-    steps = _closure(i, out_edges, memo)
+    steps = _closure(i, g.out_edges, memo)
     rows = {}
     for v in sorted(steps, key=word_lengths):
         row = {v: 1}
         for j, w in steps[v].items():
-            if j != v:
-                for k, c in (rows[j] if j in rows else memo[j]).items():
-                    row[k] = row.get(k, 0) - w * c
+            for k, c in (rows[j] if j in rows else memo[j]).items():
+                row[k] = row.get(k, 0) - w * c
         rows[v] = {k: c for k, c in row.items() if c}
     memo.update(rows)
     return rows[i]
 
 
-def _column_sweep(k: Sentence, in_edges) -> dict:
+def _column_sweep(g: DescentGraph, k: Sentence) -> dict:
     """The inverse column of k, {i: inverse coefficient from i to k}, from
     in-edges alone: over the ancestors of k in increasing word-length order,
     each finished entry col_j is pushed as -col_j * w_ij to every
-    in-neighbour i, which comes later since its word lengths are larger.
-    in_edges may list j itself (the L diagonal), which is skipped."""
-    steps = _closure(k, in_edges)
+    in-neighbour i, which comes later since its word lengths are larger."""
+    steps = _closure(k, g.in_edges)
     pending = {k: 1}
     col = {}
     for j in sorted(steps, key=word_lengths):
@@ -180,8 +175,7 @@ def _column_sweep(k: Sentence, in_edges) -> dict:
         if c:
             col[j] = c
             for i, w in steps[j].items():
-                if i != j:
-                    pending[i] = pending.get(i, 0) - w * c
+                pending[i] = pending.get(i, 0) - w * c
     return col
 
 
@@ -190,53 +184,67 @@ def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
     weights: entry k of the swept inverse row of i (see inverse_row), and 0
     when k is not reachable from i."""
     _require_acyclic(g)
-    return _row_sweep(i, g.out_edges, g._rows).get(k, 0)
+    return _row_sweep(g, i).get(k, 0)
 
 
 def inverse_row(g: DescentGraph, i: Sentence) -> dict:
     """All nonzero inverse coefficients from i, as a fresh dict: the row
     sweep over the graph's out-edges, its rows cached on the graph."""
     _require_acyclic(g)
-    return dict(_row_sweep(i, g.out_edges, g._rows))
+    return dict(_row_sweep(g, i))
 
 
 def inverse_column(g: DescentGraph, k: Sentence) -> dict:
     """All nonzero inverse coefficients into k, indexed by the source: the
     column sweep over the graph's in-edges."""
     _require_acyclic(g)
-    return _column_sweep(k, g.in_edges)
+    return _column_sweep(g, k)
 
 
 # ---------------------------------------------------------------------------
-# inverse rows and columns by key: the same sweeps over tableaux.ell_row and
-# tableaux.ell_column, so a sweep reads the rows or columns of its closure
-# and nothing else of the degree.  Results are shared; callers must not
-# mutate them.
+# change of basis without the graph, L being unitriangular in word-length
+# order.  A step pushes keys of the popped key's degree, strictly later in
+# the heap's order, so one heap serves mixed degrees and pops each key once,
+# after every key feeding it.
 
-INVERSE_ROW_CACHE = 8192
-_inverse_rows = OrderedDict()  # vertex -> inverse row, least recent first
+def _back_substitute(terms: dict, line, order) -> dict:
+    """{v: x_v} with sum_v x_v line(v) = terms, where line(v) holds v with
+    weight 1 and otherwise keys later in order: pop the first key v, take
+    its residual as x_v, and subtract x_v * line(v) off the diagonal."""
+    residual = dict(terms)
+    heap = [(order(v), v) for v in residual]
+    heapify(heap)
+    out = {}
+    while heap:
+        v = heappop(heap)[1]
+        x = residual.pop(v)
+        if x:
+            out[v] = x
+            for j, w in line(v).items():
+                if j != v:
+                    if j not in residual:
+                        residual[j] = 0
+                        heappush(heap, (order(j), j))
+                    residual[j] -= w * x
+    return out
 
 
-def _ell_out_edges(i: Sentence) -> dict:
-    # the degree-0 row's one key, ("",), is its diagonal entry
-    return ell_row(i, IMMACULATE) if i else {}
+def solve_rows(terms: dict) -> dict:
+    """The DI coefficients of the F expression with these terms, largest
+    word lengths first, subtracting L rows.  Negating the word lengths
+    reverses their order within a degree, where no composition is a prefix
+    of another; the degree-0 row's one key, ("",), is its diagonal entry."""
+    return _back_substitute(
+        terms,
+        lambda v: ell_row(v, IMMACULATE) if v else {},
+        lambda v: tuple([-p for p in word_lengths(v)]),
+    )
 
 
-def inverse_row_by_key(i: Sentence) -> dict:
-    """inverse_row of the degree's immaculate graph, without the graph: the
-    row sweep over L rows by key, with a bounded cache of inverse rows."""
-    row = _row_sweep(i, _ell_out_edges, _inverse_rows)
-    _inverse_rows.move_to_end(i)
-    while len(_inverse_rows) > INVERSE_ROW_CACHE:
-        _inverse_rows.popitem(last=False)
-    return row
-
-
-@lru_cache(maxsize=1024)
-def inverse_column_by_key(k: Sentence) -> dict:
-    """inverse_column of the degree's immaculate graph, without the graph:
-    the column sweep over L columns by key."""
-    return _column_sweep(k, ell_column)
+def solve_columns(terms: dict) -> dict:
+    """The R coefficients of the IM expression with these terms, smallest
+    word lengths first, subtracting along L columns."""
+    return _back_substitute(terms, ell_column, word_lengths)
 
 
 def reachable(g: DescentGraph, root: Sentence) -> list:

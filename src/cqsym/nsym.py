@@ -12,13 +12,13 @@ defining sum over all words.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, the
-creation operators IM -> H and RSIM -> E, and the descent-graph columns
-IM/RSIM -> R (a column sweep over L columns by key).
+creation operators IM -> H and RSIM -> E, and the inversions IM/RSIM -> R
+(one triangular solve over the whole expression, descent_graph.solve_columns).
 So H and E reach IM and RSIM, and IM and RSIM reach each other, through R,
 and RSIM reaches H through E.
 
-Every single-step route, and the antipode, rewrites an expression one term
-at a time, so each is a row route (exprs.row_route), and psi is the one
+Every other single-step route, and the antipode, rewrites an expression one
+term at a time, so each is a row route (exprs.row_route), and psi is the one
 built for both sides by exprs.side_psi, with R as its pivot.  The right perp
 and the creation operators stay loops: a row route maps H[()] to itself,
 but mrperp(s, H[()]) is 0 for s != () and bernstein(v, H[()]) is H[v].
@@ -149,13 +149,14 @@ _im_to_h = row_route("H", _imm_h_row)
 _rsim_to_e = row_route("E", _imm_h_row)
 
 
-# the inverse of R -> IM, column by column of the descent graph
-_im_to_r = row_route("R", lambda alphabet, j: dg.inverse_column_by_key(j))
+# the inverse of R -> IM, one triangular solve over the L columns
+def _im_to_r(e: Expr) -> Expr:
+    return Expr("R", e.alphabet, dg.solve_columns(e.terms))
+
+
 # psi fixes R up to complementing the index and sends IM to RSIM
-_rsim_to_r = row_route(
-    "R",
-    lambda alphabet, j: {complement(i): c for i, c in dg.inverse_column_by_key(j).items()},
-)
+def _rsim_to_r(e: Expr) -> Expr:
+    return Expr("R", e.alphabet, {complement(i): c for i, c in dg.solve_columns(e.terms).items()})
 
 
 # listed so that R -> E takes R -> H -> E, not the equally short R -> RSIM -> E

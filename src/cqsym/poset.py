@@ -33,7 +33,7 @@ from itertools import accumulate
 from . import nsym, qsym
 from .exprs import Expr, TensorExpr
 from .sentences import Alphabet, Sentence, containment, maximal_word, sentence_str, word_lengths
-from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, fillings, row_strict_row
+from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, descent_counts, fillings
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -185,27 +185,13 @@ def enumerate_skew_tableaux(outer: Sentence, inner: Sentence, variant: str = IMM
 # skew expansions, structure constants, coproduct
 
 def skew_descent_counts(outer: Sentence, inner: Sentence, variant: str) -> dict:
-    """The descent compositions of the standard fillings of outer/inner,
-    {composition: count}: the F expansion of the skew (row-strict) dual
-    immaculate function of that shape.  Each filling cuts its reading word
-    after each descent of the variant; the row-strict cuts are the
-    complement of the immaculate ones.  With inner () it is
-    tableaux.ell_row(outer, variant) for a non-empty outer shape; the empty
-    skew shape (inner = outer) has one filling, whose composition is ().
-    inner must be left-contained in outer."""
+    """tableaux.descent_counts: the F expansion of the skew (row-strict)
+    dual immaculate function of outer/inner, whose inner shape must be
+    left-contained in outer; the empty skew shape gives F[()]."""
     _check_variant(variant)
-    word = "".join(outer)
-    row = Counter()
-    if len(word) == sum(map(len, inner)):
-        row[()] = 1
-        return row
-
-    def visit(perm, cuts):
-        reading = "".join([word[p] for p in perm])
-        row[tuple([reading[a:b] for a, b in zip(cuts, cuts[1:])])] += 1
-
-    _standard_walk(word_lengths(outer), visit, word_lengths(inner))
-    return row if variant == IMMACULATE else row_strict_row(row)
+    if sum(map(len, outer)) == sum(map(len, inner)):
+        return Counter({(): 1})
+    return descent_counts(outer, inner, variant)
 
 
 def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, variant: str = IMMACULATE) -> Expr:

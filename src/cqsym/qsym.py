@@ -4,12 +4,12 @@ uncoloring, and a truncated polynomial realization used as a product oracle.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 tableau expansions DI/RSDI -> F (one L row by key per term), the Mobius pair
-M <-> F, the descent-graph inversion F -> DI (a row sweep over L rows by
-key), and its complement twin F -> RSDI.  Every other pair, M <-> DI/RSDI
-and DI <-> RSDI, goes through F, so no route builds the Kostka matrix (L
-composed with F -> M).  Each single-step route, and the antipode, is a row
-route (exprs.row_route), and psi is the one built for both sides by
-exprs.side_psi, with F as its pivot.
+M <-> F, the inversion F -> DI (one triangular solve over the whole
+expression, descent_graph.solve_rows), and its complement twin F -> RSDI.
+Every other pair, M <-> DI/RSDI and DI <-> RSDI, goes through F, so no route
+builds the Kostka matrix (L composed with F -> M).  Every other single-step
+route, and the antipode, is a row route (exprs.row_route), and psi is the
+one built for both sides by exprs.side_psi, with F as its pivot.
 """
 
 from __future__ import annotations
@@ -37,12 +37,18 @@ _f_to_m = row_route("M", lambda alphabet, i: dict.fromkeys(refinements(i), 1))
 _m_to_f = row_route("F", lambda alphabet, i: alternating(refinements(i), len(i)))
 
 
-# psi sends F_I to F_{I^c} and DI to RSDI, so F -> RSDI is F -> DI with the
-# F indices complemented
 _di_to_f = row_route("F", lambda alphabet, j: ell_row(j, IMMACULATE))
 _rsdi_to_f = row_route("F", lambda alphabet, j: ell_row(j, ROW_STRICT))
-_f_to_di = row_route("DI", lambda alphabet, i: dg.inverse_row_by_key(i))
-_f_to_rsdi = row_route("RSDI", lambda alphabet, i: dg.inverse_row_by_key(complement(i)))
+
+
+def _f_to_di(e: Expr) -> Expr:
+    return Expr("DI", e.alphabet, dg.solve_rows(e.terms))
+
+
+# psi sends F_I to F_{I^c} and DI to RSDI, so F -> RSDI is F -> DI with the
+# F indices complemented
+def _f_to_rsdi(e: Expr) -> Expr:
+    return Expr("RSDI", e.alphabet, dg.solve_rows({complement(i): c for i, c in e.terms.items()}))
 
 
 _ROUTES = {

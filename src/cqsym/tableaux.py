@@ -18,19 +18,19 @@ weakly higher row.  The colored descent composition splits the reading word
 exactly one variant, and the row-strict descent composition of a filling is
 the complement of its immaculate one.
 
-The L matrix is read two ways.  By key: ell_row and ell_column read one row
-or one column from a per-degree index of the standard fillings, which
-depends only on the degree (B_n fillings), and every conversion route reads
-L this way.  By degree: standard_data holds every immaculate row of a
-degree, ell_table reads the row-strict ones from it with every key
-complemented, and ell_columns is its transpose; these whole-degree views
-serve descent_graph.build (so `graph` and `coeffs`) and the tests.
+The L matrix is read two ways.  By key: ell_row and ell_column walk only
+the standard fillings of one row or column, and every conversion route
+reads L this way.  By degree:
+standard_data holds every immaculate row of a degree, ell_table reads the
+row-strict ones from it with every key complemented, and ell_columns is its
+transpose; these whole-degree views serve descent_graph.build (so `graph`
+and `coeffs`) and the tests.
 
 One filler, `fillings`, enumerates tableaux by shape for both variants: on
 straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
 given weak type or with any type.  One walker, `_standard_walk`, enumerates
-standard fillings, on straight shapes and (for poset.skew_descent_counts)
-on skew ones.
+standard fillings, on straight shapes and on skew ones; descent_counts
+reads it as the L rows and as the skew functions.
 """
 
 from __future__ import annotations
@@ -298,22 +298,6 @@ def enumerate_standard(shape: Sentence, variant: str = IMMACULATE) -> list:
     return out
 
 
-def _descent_data(lengths: tuple, words: list) -> list:
-    """The Counter of immaculate descent compositions of the shape of each
-    maximal word, all colored at each step of one walk."""
-    counts = [Counter() for _ in words]
-
-    def visit(perm, cuts):
-        read = itemgetter(*perm) if perm else lambda word: ""
-        pieces = tuple(map(slice, cuts, cuts[1:]))
-        for word, counter in zip(words, counts):
-            reading = "".join(read(word))
-            counter[tuple(map(reading.__getitem__, pieces))] += 1
-
-    _standard_walk(lengths, visit)
-    return counts
-
-
 def row_strict_row(row: dict) -> dict:
     """The row-strict L row of a shape from its immaculate one: the same
     fillings in the same order, each descent composition complemented."""
@@ -324,25 +308,19 @@ def row_strict_row(row: dict) -> dict:
 # L rows and columns by key
 #
 # A standard filling is its sequence of rows r_1, ..., r_n, a restricted
-# growth string (row r opens only after row r-1), so a degree has only B_n
-# fillings whatever the alphabet: 52 at n = 5, 203 at n = 6, 4,140 at n = 8.
-# _filling_index walks them once per degree and files each one twice.
+# growth string (row r opens only after row r-1); value t is an immaculate
+# descent when r_{t+1} > r_t.  A row or a column walks only the fillings it
+# counts, whatever the alphabet.
 #
-# * By its word lengths: the getter that reads a maximal word in value order,
-#   with the slices that cut that reading after each immaculate descent, and
-#   the complementary slices that cut it after each row-strict one.  So
-#   ell_row colors the maximal word of one shape at each filling of its word
-#   lengths and cuts it there, for either variant, with no complement.
-# * By the word lengths of its immaculate descent composition: the getter
-#   that puts a reading word back in box order (the inverse permutation),
-#   with the slices of its rows.  So ell_column puts the reading word of C
-#   into the boxes of each filling whose descent set is C's cut set, and
-#   reads off one shape J per filling: L[J][C] counts them.  Inside a word of
-#   C the row index does not increase, and at each cut it strictly does.
-#
-# A row walks the f^J fillings of one shape, a column the fillings of one
-# descent set; neither reads the rest of the degree.  Both keep a bounded
-# cache, and neither depends on the alphabet.
+# * ell_row(J) walks the f^J fillings of J's word lengths, f^alpha =
+#   prod_i C(alpha_i + ... + alpha_l - 1, alpha_i - 1), and cuts J's maximal
+#   word, read in value order, after each descent.  The getters doing this
+#   depend only on the word lengths (_readers).
+# * ell_column(C) walks the restricted growth strings whose descent set is
+#   C's cut set: after a cut the next value goes to a row in (r_t, top], top
+#   the next row to open, and otherwise to a row in [0, r_t].  Every branch
+#   completes.  Row q of the shape J spells C's reading word at the values
+#   in row q, and L[J][C] counts the fillings that give J.
 
 def _empty_reading(word: str) -> str:
     return ""
@@ -355,54 +333,71 @@ def _cutter(slices: tuple):
     return lambda word: tuple(word[s] for s in slices)
 
 
-@lru_cache(maxsize=16)
-def _filling_index(n: int) -> tuple:
-    """({(word lengths, variant): [(read, cut)]}, {descent lengths:
-    [(unread, cut rows)]}) over the standard fillings of n."""
-    by_shape, by_descents = {}, {}
-    for lengths in all_compositions(n):
-        rows = _cutter(_row_slices(lengths))
-        immaculate = by_shape[lengths, IMMACULATE] = []
-        row_strict = by_shape[lengths, ROW_STRICT] = []
+def _readers(lengths: tuple, inner: tuple) -> list:
+    """(read, cut) per standard filling of the skew shape lengths/inner, in
+    walk order: read takes a maximal word of the shape to the filling's
+    reading word, and cut cuts that after each immaculate descent."""
+    out = []
 
-        def visit(perm, cuts):
-            read = itemgetter(*perm) if perm else _empty_reading
-            inverse = [0] * n
-            for t, p in enumerate(perm):
-                inverse[p] = t
-            unread = itemgetter(*inverse) if inverse else _empty_reading
-            descents = set(cuts[1:-1])
-            strict = [0] + [t for t in range(1, n) if t not in descents] + [n]
-            immaculate.append((read, _cutter(tuple(map(slice, cuts, cuts[1:])))))
-            row_strict.append((read, _cutter(tuple(map(slice, strict, strict[1:])))))
-            key = tuple(b - a for a, b in zip(cuts, cuts[1:]))
-            by_descents.setdefault(key, []).append((unread, rows))
+    def visit(perm, cuts):
+        read = itemgetter(*perm) if perm else _empty_reading
+        out.append((read, _cutter(tuple(map(slice, cuts, cuts[1:])))))
 
-        _standard_walk(lengths, visit)
-    return by_shape, by_descents
+    _standard_walk(lengths, visit, inner)
+    return out
+
+
+# shapes read by key share the readers of their word lengths; a whole-degree
+# table reads each composition once and keeps none (see standard_data)
+_shared_readers = lru_cache(maxsize=128)(_readers)
+
+
+def descent_counts(outer: Sentence, inner: Sentence, variant: str) -> Counter:
+    """{descent composition: count} over the standard fillings of outer/inner
+    (inner () or left-contained in outer), keys in walk order: each cuts its
+    reading word after each descent of the variant."""
+    word = "".join(outer)
+    readers = _shared_readers(word_lengths(outer), word_lengths(inner))
+    row = Counter([cut("".join(read(word))) for read, cut in readers])
+    return row if variant == IMMACULATE else row_strict_row(row)
 
 
 @lru_cache(maxsize=512)
 def ell_row(shape: Sentence, variant: str, /) -> Counter:
     """The L row of one shape, {descent composition: count}: the entry
-    ell_table(alphabet, n, variant)[shape], keys in the same order, read from
-    the fillings of the shape's word lengths alone.  The variant is
-    positional, so each row has one cache key; callers must not mutate it."""
-    _check_variant(variant)
-    word = "".join(shape)
-    fillings = _filling_index(len(word))[0][word_lengths(shape), variant]
-    return Counter([cut("".join(read(word))) for read, cut in fillings])
+    ell_table(alphabet, n, variant)[shape], keys in the same order.  The
+    variant is positional, so each row has one cache key; callers must not
+    mutate it."""
+    return descent_counts(shape, (), _check_variant(variant))
 
 
 @lru_cache(maxsize=512)
 def ell_column(comp: Sentence) -> Counter:
     """The immaculate L column of a descent composition, {shape: count}:
-    the entry ell_columns(alphabet, n).get(comp, {}), read from the fillings
-    whose descent set is comp's cut set alone.  The row-strict column of C
-    is the immaculate column of complement(C).  Callers must not mutate it."""
+    ell_columns(alphabet, n).get(comp, {}).  The row-strict column of C is
+    the immaculate column of complement(C).  Callers must not mutate it."""
+    column = Counter()
+    if not comp:
+        return column  # the degree-0 descent composition is ("",)
     reading = "".join(comp)
-    fillings = _filling_index(len(reading))[1].get(word_lengths(comp), ())
-    return Counter([rows("".join(unread(reading))) for unread, rows in fillings])
+    n = len(reading)
+    cuts = set(accumulate(map(len, comp[:-1])))
+    rows = [""] * n
+
+    def rec(t: int, r: int, top: int) -> None:
+        # values 1..t placed, value t in row r (r = 0 at t = 0), rows < top open
+        if t == n:
+            column[tuple(rows[:top])] += 1
+            return
+        letter = reading[t]
+        for q in range(r + 1, top + 1) if t in cuts else range(r + 1):
+            before = rows[q]
+            rows[q] = before + letter
+            rec(t + 1, q, top if q < top else top + 1)
+            rows[q] = before
+
+    rec(0, 0, 0)
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +499,10 @@ def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int
 # per-degree transition tables
 #
 # standard_data(alphabet, n)[shape] is the shape's immaculate L row, a
-# Counter over descent compositions; ell_columns is its transpose.  It walks
-# the standard fillings of each composition of n once, keeping none of them,
-# and colors every shape of that composition at each: the reading word is the
-# shape's maximal word at the filling's positions, cut at its descents.  A
+# Counter over descent compositions; ell_columns is its transpose.  It reads
+# every shape of each composition of n with that composition's getters
+# (_readers), as ell_row does one shape: the reading word is the shape's
+# maximal word at the filling's positions, cut at its descents.  A
 # row-strict row is the immaculate one with its keys complemented, built
 # when read.  K[J][B] counts standard fillings whose descent composition
 # coarsens B.  No conversion route reads these tables: each reads L rows and
@@ -522,8 +517,11 @@ def standard_data(alphabet: Alphabet, n: int) -> dict:
     words = all_words(alphabet, n)
     for lengths in all_compositions(n):
         rows = _row_slices(lengths)
-        shapes = [tuple(map(word.__getitem__, rows)) for word in words]
-        out.update(zip(shapes, _descent_data(lengths, words)))
+        readers = _readers(lengths, ())
+        for word in words:
+            out[tuple(map(word.__getitem__, rows))] = Counter(
+                [cut("".join(read(word))) for read, cut in readers]
+            )
     return out
 
 

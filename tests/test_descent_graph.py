@@ -150,29 +150,17 @@ def _by_key_cases():
 
 
 def test_sweeps_by_key_match_the_graph():
+    # the triangular solves by key give, on one basis element, the graph's
+    # swept inverse row and column of that vertex
     for g in _by_key_cases():
         for v in g.vertices:
-            assert dg.inverse_row_by_key(v) == dg.inverse_row(g, v), v
-            assert dg.inverse_column_by_key(v) == dg.inverse_column(g, v), v
+            assert dg.solve_rows({v: 1}) == dg.inverse_row(g, v), v
+            assert dg.solve_columns({v: 1}) == dg.inverse_column(g, v), v
     # degree 0: the empty sentence alone, whose L row is its diagonal entry
-    assert dg.inverse_row_by_key(()) == {(): 1}
-    assert dg.inverse_column_by_key(()) == {(): 1}
+    assert dg.solve_rows({(): 1}) == {(): 1}
+    assert dg.solve_columns({(): 1}) == {(): 1}
     with pytest.raises(ValueError):
         dg.build(0, AB)
-
-
-def test_sweep_by_key_survives_a_small_row_cache(monkeypatch):
-    # an evicted row's ancestors may stay cached: a later sweep re-enters
-    # only the vertices it cannot read from the cache
-    monkeypatch.setattr(dg, "INVERSE_ROW_CACHE", 3)
-    dg._inverse_rows.clear()
-    try:
-        for g in (dg.cached_graph(AB, 4), dg.cached_graph(ABC, 3)):
-            for v in reversed(g.vertices):
-                assert dg.inverse_row_by_key(v) == dg.inverse_row(g, v), v
-                assert len(dg._inverse_rows) <= 3
-    finally:
-        dg._inverse_rows.clear()
 
 
 def test_ell_columns_are_the_graph_in_edges():

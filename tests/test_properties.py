@@ -1,7 +1,9 @@
 """Differential property tests on random sentences over at most three
 letters: the L rows and columns by key against the whole-degree tables, psi
-as an involution on both sides, and the Mobius maps and antipodes (row
-routes) against their signed sums written out here.
+as an involution on both sides, the Mobius maps and antipodes (row routes)
+against their signed sums written out here, and the triangular solves on
+random mixed-degree expressions against the descent graph's inverses and
+through round trips.
 
 The examples are derandomized and their number fixed, so a run is
 deterministic and its cost bounded."""
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqsym import descent_graph as dg
 from cqsym import nsym, qsym
 from cqsym.exprs import NSYM_TAGS, QSYM_TAGS, Expr
 from cqsym.sentences import (
@@ -108,13 +111,13 @@ REFERENCES = {
 
 
 @st.composite
-def combinations_of(draw, tag):
+def combinations_of(draw, tag, max_size=6):
     """A sum of one to three basis terms of one alphabet, with non-zero
-    integer coefficients."""
+    integer coefficients, of sizes 1..max_size (so often of mixed degree)."""
     alphabet = draw(st.sampled_from(ALPHABETS))
     e = Expr(tag, alphabet)
     for _ in range(draw(st.integers(1, 3))):
-        e.add_term(_sentence(draw, alphabet, 6), draw(st.sampled_from((-3, -1, 1, 2))))
+        e.add_term(_sentence(draw, alphabet, max_size), draw(st.sampled_from((-3, -1, 1, 2))))
     return e
 
 
@@ -129,3 +132,51 @@ def test_mobius_maps_and_antipodes_are_their_signed_sums(name, data):
         for j, coef in row(i).items():
             want.add_term(j, c * coef)
     assert route(e) == want
+
+
+# the triangular solves F -> DI and IM -> R, on whole expressions, against
+# the built graph: its swept inverse rows and columns summed term by term,
+# and at degree <= 4 its literal signed path sums
+
+SOLVES = {
+    "F": (dg.solve_rows, dg.inverse_row, dg.reachable, dg.path_inverse_coeff),
+    "IM": (
+        dg.solve_columns,
+        dg.inverse_column,
+        lambda g, j: g.vertices,
+        lambda g, j, k: dg.path_inverse_coeff(g, k, j),
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", SOLVES)
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solves_are_the_graph_inverses_term_by_term(tag, data):
+    solve, sweep, candidates, paths = SOLVES[tag]
+    e = data.draw(combinations_of(tag, max_size=5))
+    swept, walked = Expr(tag, e.alphabet), Expr(tag, e.alphabet)
+    for i, c in e.terms.items():
+        g = dg.cached_graph(e.alphabet, size(i))
+        for k, coef in sweep(g, i).items():
+            swept.add_term(k, c * coef)
+        if size(i) <= 4:
+            for k in candidates(g, i):
+                walked.add_term(k, c * paths(g, i, k))
+    assert Expr(tag, e.alphabet, solve(e.terms)) == swept
+    small = {i: c for i, c in e.terms.items() if size(i) <= 4}
+    assert Expr(tag, e.alphabet, solve(small)) == walked
+
+
+ROUND_TRIPS = (("F", "DI"), ("F", "RSDI"), ("IM", "R"), ("RSIM", "R"))
+
+
+@pytest.mark.parametrize("tag, through", ROUND_TRIPS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conversions_through_the_solves_round_trip(tag, through, data):
+    e = data.draw(combinations_of(tag))
+    convert = qsym.convert if tag in QSYM_TAGS else nsym.convert
+    there = convert(e, through)
+    assert there.tag == through
+    assert convert(there, tag) == e

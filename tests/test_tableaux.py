@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -6,7 +8,14 @@ import pytest
 from cqsym import descent_graph as dg
 from cqsym import nsym, poset, qsym
 from cqsym.exprs import Expr, side
-from cqsym.sentences import Alphabet, all_sentences, is_refinement, refinements, word_lengths
+from cqsym.sentences import (
+    Alphabet,
+    all_compositions,
+    all_sentences,
+    is_refinement,
+    refinements,
+    word_lengths,
+)
 from cqsym.tableaux import (
     IMMACULATE,
     ROW_STRICT,
@@ -295,6 +304,31 @@ def test_rows_and_columns_by_key_match_the_tables():
     assert ell_row((), IMMACULATE) == ell_row((), ROW_STRICT) == {("",): 1}
     assert ell_column(("",)) == {(): 1}
     assert ell_column(()) == {}
+
+
+def test_rows_count_f_alpha_fillings():
+    # f^alpha = prod_i C(alpha_i + ... + alpha_l - 1, alpha_i - 1): the
+    # smallest value in rows i..l opens row i, and row i takes any
+    # alpha_i - 1 of the others
+    for n in range(1, 9):
+        for alpha in all_compositions(n):
+            want = 1
+            for i, part in enumerate(alpha):
+                want *= math.comb(sum(alpha[i:]) - 1, part - 1)
+            shape = tuple("a" * part for part in alpha)
+            assert sum(ell_row(shape, IMMACULATE).values()) == want, alpha
+
+
+def test_a_degree_12_row_and_column_walk_only_their_fillings():
+    # the degree has B_12 = 4,213,597 standard fillings; the row of (6, 6)
+    # walks its 462 and the one-word column its one
+    start = time.perf_counter()
+    row = ell_row(("aaaaaa", "aaaaaa"), IMMACULATE)
+    column = ell_column(("a" * 12,))
+    elapsed = time.perf_counter() - start
+    assert sum(row.values()) == math.comb(11, 5) == 462
+    assert column == {("a" * 12,): 1}
+    assert elapsed < 2.0, elapsed
 
 
 # the conversion routes (the expand routes of perfbench/queries.py)
