@@ -5,6 +5,9 @@ flag order defines the color order), sentences are validated against it, and
 output is deterministic: terms always print in canonical order, so identical
 invocations produce byte-identical output.
 
+An expression argument given as "-" is read from stdin, so an answer too
+long for one command-line argument can be fed back; at most one per call.
+
 Exit codes: 0 success, 1 domain error (bad input values), 2 usage error.
 """
 
@@ -21,6 +24,7 @@ from .exprs import Expr, parse, side
 from .sentences import Alphabet, parse_sentence, parse_weak_sentence, sentence_str
 
 VERIFY_DEGREE_CAP = 6
+EXPR_ARGS = ("expr", "expr2", "nsym_expr", "qsym_expr")
 
 
 def _alphabet(args) -> Alphabet:
@@ -341,6 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from_stdin = [name for name in EXPR_ARGS if getattr(args, name, None) == "-"]
+    if len(from_stdin) > 1:
+        parser.error("at most one expression can be read from stdin ('-')")
+    if from_stdin:
+        setattr(args, from_stdin[0], sys.stdin.read().strip())
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

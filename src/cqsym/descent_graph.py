@@ -33,7 +33,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .sentences import Alphabet, Sentence, sentence_count, sentence_str, sort_sentences, word_lengths
-from .tableaux import IMMACULATE, _check_variant, ell_column, ell_row, ell_table
+from .tableaux import IMMACULATE, WHOLE_DEGREE_CACHE, _check_variant, ell_column, ell_row, ell_table
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -115,7 +115,7 @@ def build(n: int, alphabet: Alphabet, variant: str = IMMACULATE, cap: int = DEFA
     return DescentGraph(n, alphabet, variant, vertices, edges, acyclic)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WHOLE_DEGREE_CACHE)
 def cached_graph(alphabet: Alphabet, n: int) -> DescentGraph:
     """The one shared immaculate graph of the degree."""
     return build(n, alphabet)

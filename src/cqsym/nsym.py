@@ -10,6 +10,15 @@ sentence, and gluing the reversed refinement onto the new first word with an
 alternating sign.  This enumeration is finite term by term, unlike the
 defining sum over all words.
 
+Two bounded LRU memos hold the creation operators' work, and callers must
+not mutate what they return.  _bernstein_terms(v, j) is B_v(H_j), at most
+128 entries: even unbounded, under a third of its calls in a warm session
+hit, so a larger memo mostly holds terms read once.  _imm_h_terms(j) is
+the H expansion of the immaculate function of j, built from the entry of
+its tail j[1:], at most 4,096 entries: an evicted entry recomputes its
+whole suffix chain when read again, and the verify sweeps read each one
+several times.
+
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, the
 creation operators IM -> H and RSIM -> E, and the inversions IM/RSIM -> R
@@ -91,7 +100,7 @@ def _sum_terms(pairs) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _bernstein_terms(v: Word, j: Sentence) -> dict:
     return _sum_terms(
         ((v + maximal_word(reversal(q)),) + flatten(rest), -1 if len(q) % 2 else 1)
@@ -100,7 +109,7 @@ def _bernstein_terms(v: Word, j: Sentence) -> dict:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _imm_h_terms(j: Sentence) -> dict:
     """H expansion of the immaculate function of j, by creation operators."""
     if not j:

@@ -509,9 +509,14 @@ def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int
 # columns by key (above), and K is L composed with the refinement or
 # coarsening map.  kostka_table and kostka_columns are reference views for
 # the tests.  They take the variant positionally and without a default, so
-# each table has one cache key.
+# each table has one cache key.  Each table, and the descent graph built
+# from it, keeps at most WHOLE_DEGREE_CACHE (alphabet, degree) entries: more
+# than any one sweep over degrees reads, so a sweep never rebuilds a table.
 
-@lru_cache(maxsize=None)
+WHOLE_DEGREE_CACHE = 32
+
+
+@lru_cache(maxsize=WHOLE_DEGREE_CACHE)
 def standard_data(alphabet: Alphabet, n: int) -> dict:
     out = {}
     words = all_words(alphabet, n)
@@ -533,7 +538,7 @@ def ell_table(alphabet: Alphabet, n: int, variant: str = IMMACULATE) -> dict:
     return {shape: row_strict_row(row) for shape, row in standard_data(alphabet, n).items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WHOLE_DEGREE_CACHE)
 def kostka_table(alphabet: Alphabet, n: int, variant: str, /) -> dict:
     out = {}
     for shape, ell_row in ell_table(alphabet, n, variant).items():
@@ -554,11 +559,11 @@ def _columns(rows: dict) -> dict:
     return cols
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WHOLE_DEGREE_CACHE)
 def kostka_columns(alphabet: Alphabet, n: int, variant: str, /) -> dict:
     return _columns(kostka_table(alphabet, n, variant))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WHOLE_DEGREE_CACHE)
 def ell_columns(alphabet: Alphabet, n: int) -> dict:
     return _columns(standard_data(alphabet, n))

@@ -482,6 +482,37 @@ def test_exit_codes(capsys):
     assert info.value.code == 2
 
 
+def test_an_expression_too_long_for_one_argument_is_read_from_stdin(capsys, monkeypatch):
+    # the M answer of DI[abc,cba,abca] is past the 128 KiB cap on one
+    # command-line argument, so "-" takes it from stdin and converts it back
+    code, m, _ = run_cli(capsys, "expand", "--alphabet", "abc", "--to", "M", "DI[abc,cba,abca]")
+    assert code == 0 and len(m.encode()) == 258002
+    monkeypatch.setattr("sys.stdin", io.StringIO(m))
+    code, out, _ = run_cli(capsys, "expand", "--alphabet", "abc", "--to", "DI", "-")
+    assert code == 0 and out == "DI[abc,cba,abca]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--alphabet", "ab", "IM[ab]", "-"),
+    ("psi", "--alphabet", "ab", "-"),
+    ("uncolor", "--alphabet", "ab", "-"),
+    ("hopf", "--alphabet", "ab", "product", "DI[a]", "-"),
+])
+def test_each_expression_command_reads_dash_from_stdin(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("DI[ab]\n"))
+    code, out, _ = run_cli(capsys, *argv)
+    stdin_free = tuple("DI[ab]" if arg == "-" else arg for arg in argv)
+    assert code == 0 and out == run_cli(capsys, *stdin_free)[1]
+
+
+def test_two_expressions_from_stdin_are_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("DI[a]"))
+    with pytest.raises(SystemExit) as info:
+        main(["hopf", "--alphabet", "ab", "product", "-", "-"])
+    assert info.value.code == 2
+    assert "stdin" in capsys.readouterr().err
+
+
 def test_output_determinism(capsys):
     args = ["expand", "--alphabet", "abc", "--to", "M", "DI[ab,cb] - 2*DI[a,cb,b]"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -86,6 +86,37 @@ def test_immaculate_in_h():
                     assert nsym.convert(Expr.basis("IM", s, alphabet), "H") == want, s
 
 
+def test_creation_memos_are_bounded_and_evictions_change_no_row():
+    # IM -> H and RSIM -> E read the creation memos: every row computed from
+    # empty memos equals the row computed after the Bernstein memo has
+    # evicted, and neither memo holds more than its bound
+    memos = (nsym._bernstein_terms, nsym._imm_h_terms)
+    sentences = [j for n in range(6) for j in all_sentences(AB, n)]
+
+    def rows(j):
+        return (
+            str(nsym.convert(Expr.basis("IM", j, AB), "H")),
+            str(nsym.convert(Expr.basis("RSIM", j, AB), "E")),
+        )
+
+    fresh = []
+    for j in sentences:
+        for memo in memos:
+            memo.cache_clear()
+        fresh.append(rows(j))
+    for memo in memos:
+        memo.cache_clear()
+    for v in all_words(AB, 1) + all_words(AB, 2):
+        for n in range(4):
+            for t in all_sentences(AB, n):
+                nsym._bernstein_terms(v, t)
+    assert nsym._bernstein_terms.cache_info().misses > nsym._bernstein_terms.cache_info().maxsize
+    assert [rows(j) for j in sentences] == fresh
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize, memo
+
+
 def test_uncolored_jacobi_trudi_value():
     got = nsym.uncolor(nsym.immaculate_in_h(("aa", "a"), A))
     assert got == UncoloredExpr("H", {(2, 1): 1, (3,): -1})

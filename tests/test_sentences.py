@@ -136,7 +136,7 @@ def test_unbounded_caches_do_not_grow_in_number():
         and hasattr(fn, "cache_info")
         and fn.cache_info().maxsize is None
     ]
-    assert len(unbounded) <= 7, unbounded
+    assert unbounded == [], unbounded
 
 
 def test_refinement_coarsening_galois():
