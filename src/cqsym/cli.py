@@ -21,7 +21,7 @@ import sys
 from . import descent_graph as dg
 from . import nsym, poset, qsym, tableaux, verify
 from .exprs import Expr, parse, side
-from .sentences import Alphabet, parse_sentence, parse_weak_sentence, sentence_str
+from .sentences import Alphabet, parse_sentence, parse_weak_sentence, sentence_str, word_lengths
 
 VERIFY_DEGREE_CAP = 6
 EXPR_ARGS = ("expr", "expr2", "nsym_expr", "qsym_expr")
@@ -87,36 +87,27 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.uncolored:
-        table = dg.uncolored_coeffs(args.degree)
-        writer.writerow(["from", "to", "coeff"])
-        for alpha in sorted(table, key=lambda c: tuple(-p for p in c)):
-            row = table[alpha]
-            for beta in sorted(row, key=lambda c: tuple(-p for p in c)):
-                writer.writerow([
-                    ",".join(map(str, alpha)),
-                    ",".join(map(str, beta)),
-                    row[beta],
-                ])
-        return 0
-    if not args.alphabet:
+        alphabet, label = Alphabet("a"), lambda s: ",".join(map(str, word_lengths(s)))
+    elif args.alphabet:
+        alphabet, label = _alphabet(args), sentence_str
+    else:
         raise ValueError("colored coefficient tables need --alphabet")
-    alphabet = _alphabet(args)
     g = dg.cached_graph(alphabet, args.degree)
+    if args.paths:
+        rows = {
+            i: {k: c for k in dg.reachable(g, i) if (c := dg.path_inverse_coeff(g, i, k))}
+            for i in g.vertices
+        }
+    else:
+        rows = dg.inverse_rows(g)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["from", "to", "coeff"])
     order = {s: pos for pos, s in enumerate(g.vertices)}
     for i in g.vertices:
-        if args.paths:
-            row = {
-                k: c
-                for k in dg.reachable(g, i)
-                if (c := dg.path_inverse_coeff(g, i, k))
-            }
-        else:
-            row = dg.inverse_row(g, i)
+        row = rows[i]
         for k in sorted(row, key=order.get):
-            writer.writerow([sentence_str(i), sentence_str(k), row[k]])
+            writer.writerow([label(i), label(k), row[k]])
     return 0
 
 
@@ -157,7 +148,7 @@ def cmd_skew(args) -> int:
 
 
 def _coproduct(e: Expr):
-    return nsym.coproduct_h(e) if e.tag == "H" else qsym.coproduct(e)
+    return qsym.coproduct(e) if side(e.tag) == "qsym" else nsym.coproduct_h(e)
 
 
 def cmd_coproduct(args) -> int:
@@ -191,7 +182,7 @@ def cmd_hopf(args) -> int:
         _print_expr(_coproduct(e), args)
         return 0
     if args.op == "antipode":
-        out = nsym.antipode_h(e) if e.tag == "H" else qsym.antipode_m(e)
+        out = qsym.antipode_m(e) if side(e.tag) == "qsym" else nsym.antipode_h(e)
         _print_expr(out, args)
         return 0
     raise ValueError(f"unknown hopf operation {args.op}")
@@ -260,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tableaux", cmd_tableaux, help="enumerate tableaux of a shape")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--shape", required=True)
-    p.add_argument("--type", default=None)
     p.add_argument("--row-strict", action="store_true")
-    p.add_argument("--standard", action="store_true")
+    filling = p.add_mutually_exclusive_group()
+    filling.add_argument("--type", default=None)
+    filling.add_argument("--standard", action="store_true")
     p.add_argument("--cap", type=int, default=12, help="largest shape size enumerated")
 
     p = add("graph", cmd_graph, help="export a descent graph")
@@ -275,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("coeffs", cmd_coeffs, help="emit inverse descent-graph coefficients as CSV")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--alphabet", default=None)
-    p.add_argument("--uncolored", action="store_true")
+    colors = p.add_mutually_exclusive_group()
+    colors.add_argument("--alphabet", default=None)
+    colors.add_argument("--uncolored", action="store_true")
     p.add_argument("--paths", action="store_true", help="literal path enumeration (debug)")
 
     p = add("pieri", cmd_pieri, help="right Pieri product with an H word")

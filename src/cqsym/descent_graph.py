@@ -5,19 +5,20 @@ weighted by the number of standard tableaux of shape I whose colored descent
 composition is J: the out-edges of I are its L row off the diagonal, and the
 in-edges of J its L column.  For the immaculate variant every edge strictly
 decreases the word-length composition in lexicographic order, so the graph
-is acyclic and signed path sums invert the L matrix.  That order is also
-topological, so inverse rows and columns are sweeps over the vertices in
-increasing word-length order, not path enumerations.  A row sweep finishes
-every out-neighbour of a vertex before the vertex itself; a column sweep
-pushes each finished entry to the in-neighbours of its vertex, so it reads
-in-edges only.
+is acyclic and its signed path sums invert the L matrix: they are the
+combinatorial reading of the triangular solves that the conversions run.
+The conversion routes build no graph: F -> DI and IM -> R are each one
+triangular solve over the whole expression (solve_rows, solve_columns),
+reading one L row or column by key per term of the answer.  The column walk
+by key (tableaux.ell_column) is thus a combinatorial description of the
+graph's in-edges.
 
-The sweeps run on a built graph (inverse_row, inverse_column, for `coeffs`
-and the tests).  The conversion routes build no graph: F -> DI and IM -> R
-are each one triangular solve over the whole expression (solve_rows,
-solve_columns), reading one L row or column by key per term of the answer.
-The column walk by key (tableaux.ell_column) is thus a combinatorial
-description of the graph's in-edges.
+On a built graph (for `coeffs` and the tests) L is inverted in two ways.
+inverse_rows makes every inverse row in one sweep over the vertices in
+increasing word-length order, a topological order, so each vertex comes
+after all of its out-neighbours.  inverse_row and inverse_column run the
+conversions' back-substitution over the graph's out-edges and in-edges in
+place of L rows and columns.
 
 The row-strict variant is NOT acyclic in general (already at n = 2 the
 shapes (aa) and (a,a) form a 2-cycle), so it is built only for export
@@ -46,7 +47,6 @@ class DescentGraph:
         "vertices",
         "edges",
         "is_acyclic",
-        "_rows",
         "_rev",
     )
 
@@ -57,7 +57,6 @@ class DescentGraph:
         self.vertices = vertices
         self.edges = edges  # vertex -> {target: weight}, no self-loops
         self.is_acyclic = is_acyclic
-        self._rows = {}  # vertex -> {target: inverse coefficient}, nonzero only
         self._rev = None
 
     def out_edges(self, i: Sentence) -> dict:
@@ -129,76 +128,42 @@ def _require_acyclic(g: DescentGraph) -> None:
         )
 
 
-def _closure(root: Sentence, step, known=()) -> dict:
-    """root and every vertex reached from it through step, never entering a
-    vertex of known, each mapped to its step (the dict of its neighbours)."""
-    steps = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v not in steps:
-            steps[v] = out = step(v)
-            stack.extend(j for j in out if j not in steps and j not in known)
-    return steps
-
-
-def _row_sweep(g: DescentGraph, i: Sentence) -> dict:
-    """The inverse row of i, row_v = e_v - sum over edges v -> j of
-    w_vj * row_j, swept over the descendants of i in increasing word-length
-    order.  The sweep does not enter vertices whose rows are cached on the
-    graph, and caches the rows it makes.  Callers must not mutate the row."""
-    memo = g._rows
-    if i in memo:
-        return memo[i]
-    steps = _closure(i, g.out_edges, memo)
+def inverse_rows(g: DescentGraph) -> dict:
+    """Every inverse row, {i: {k: inverse coefficient}}, nonzero only: one
+    sweep over the vertices in increasing word-length order, row_v = e_v -
+    sum over edges v -> j of w_vj * row_j, each out-neighbour's row being
+    finished before its vertex's."""
+    _require_acyclic(g)
     rows = {}
-    for v in sorted(steps, key=word_lengths):
+    for v in sorted(g.vertices, key=word_lengths):
         row = {v: 1}
-        for j, w in steps[v].items():
-            for k, c in (rows[j] if j in rows else memo[j]).items():
+        for j, w in g.out_edges(v).items():
+            for k, c in rows[j].items():
                 row[k] = row.get(k, 0) - w * c
         rows[v] = {k: c for k, c in row.items() if c}
-    memo.update(rows)
-    return rows[i]
-
-
-def _column_sweep(g: DescentGraph, k: Sentence) -> dict:
-    """The inverse column of k, {i: inverse coefficient from i to k}, from
-    in-edges alone: over the ancestors of k in increasing word-length order,
-    each finished entry col_j is pushed as -col_j * w_ij to every
-    in-neighbour i, which comes later since its word lengths are larger."""
-    steps = _closure(k, g.in_edges)
-    pending = {k: 1}
-    col = {}
-    for j in sorted(steps, key=word_lengths):
-        c = pending.pop(j, 0)
-        if c:
-            col[j] = c
-            for i, w in steps[j].items():
-                pending[i] = pending.get(i, 0) - w * c
-    return col
+    return rows
 
 
 def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
     """Signed sum over directed paths from i to k of the product of edge
-    weights: entry k of the swept inverse row of i (see inverse_row), and 0
-    when k is not reachable from i."""
-    _require_acyclic(g)
-    return _row_sweep(g, i).get(k, 0)
+    weights: entry k of the inverse row of i, and 0 when k is not reachable
+    from i."""
+    return inverse_row(g, i).get(k, 0)
 
 
 def inverse_row(g: DescentGraph, i: Sentence) -> dict:
-    """All nonzero inverse coefficients from i, as a fresh dict: the row
-    sweep over the graph's out-edges, its rows cached on the graph."""
+    """All nonzero inverse coefficients from i: the back-substitution of
+    solve_rows, subtracting the graph's out-edges in place of L rows."""
     _require_acyclic(g)
-    return dict(_row_sweep(g, i))
+    return _back_substitute({i: 1}, g.out_edges, _larger_first)
 
 
 def inverse_column(g: DescentGraph, k: Sentence) -> dict:
     """All nonzero inverse coefficients into k, indexed by the source: the
-    column sweep over the graph's in-edges."""
+    back-substitution of solve_columns, subtracting along the graph's
+    in-edges in place of L columns."""
     _require_acyclic(g)
-    return _column_sweep(g, k)
+    return _back_substitute({k: 1}, g.in_edges, word_lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +194,10 @@ def _back_substitute(terms: dict, line, order) -> dict:
     return out
 
 
+def _larger_first(v: Sentence) -> tuple:
+    return tuple([-p for p in word_lengths(v)])
+
+
 def solve_rows(terms: dict) -> dict:
     """The DI coefficients of the F expression with these terms, largest
     word lengths first, subtracting L rows.  Negating the word lengths
@@ -237,7 +206,7 @@ def solve_rows(terms: dict) -> dict:
     return _back_substitute(
         terms,
         lambda v: ell_row(v, IMMACULATE) if v else {},
-        lambda v: tuple([-p for p in word_lengths(v)]),
+        _larger_first,
     )
 
 
@@ -248,7 +217,14 @@ def solve_columns(terms: dict) -> dict:
 
 
 def reachable(g: DescentGraph, root: Sentence) -> list:
-    return sort_sentences(_closure(root, g.out_edges), g.alphabet)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for j in g.out_edges(stack.pop()):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return sort_sentences(seen, g.alphabet)
 
 
 def path_inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
@@ -273,12 +249,11 @@ def uncolored_coeffs(n: int) -> dict:
     and relabel sentences by their word lengths.  Row alpha, column beta holds
     the coefficient of the dual immaculate function beta in the fundamental
     function alpha (equally: of the ribbon alpha in the immaculate beta)."""
-    g = cached_graph(Alphabet("a"), n)
-    out = {}
-    for i in g.vertices:
-        row = inverse_row(g, i)
-        out[word_lengths(i)] = {word_lengths(k): c for k, c in row.items()}
-    return out
+    rows = inverse_rows(cached_graph(Alphabet("a"), n))
+    return {
+        word_lengths(i): {word_lengths(k): c for k, c in row.items()}
+        for i, row in rows.items()
+    }
 
 
 def _export_edges(g: DescentGraph, nodes: list):

@@ -381,6 +381,17 @@ def test_hopf_command(capsys):
     assert code == 1 and "two expressions" in err
 
 
+def test_hopf_antipode_of_an_nsym_expression_is_nsym_s_error(capsys):
+    # the side of the tag picks the algebra, so E goes to NSym, not QSym
+    code, out, err = run_cli(capsys, "hopf", "--alphabet", "ab", "antipode", "E[a,b]")
+    assert (code, out, err) == (1, "", "error: antipode_h expects an H-tagged expression\n")
+
+
+def test_hopf_coproduct_of_an_nsym_expression_is_nsym_s_error(capsys):
+    code, out, err = run_cli(capsys, "hopf", "--alphabet", "ab", "coproduct", "R[a,b]")
+    assert (code, out, err) == (1, "", "error: coproduct_h expects an H-tagged expression\n")
+
+
 def test_wrong_side_expand_exact_error(capsys):
     code, out, err = run_cli(capsys, "expand", "--alphabet", "ab", "--to", "H", "M[a]")
     assert (code, out) == (1, "")
@@ -480,6 +491,17 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as info:
         main(["expand", "--alphabet", "ab"])  # missing required --to and expr
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--degree", "3", "--uncolored", "--alphabet", "ab"),
+    ("tableaux", "--alphabet", "ab", "--shape", "ab", "--standard", "--type", "a,b"),
+], ids=["coeffs-uncolored-alphabet", "tableaux-standard-type"])
+def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_an_expression_too_long_for_one_argument_is_read_from_stdin(capsys, monkeypatch):

@@ -95,9 +95,11 @@ def test_inverse_examples():
 
 
 def test_path_enumeration_matches_recurrence():
-    # literal path sums are the oracle for both sweeps: rows and columns
+    # literal path sums are the oracle for the whole-table sweep and for the
+    # back-substitutions: rows and columns
     for alphabet in (AB, ABC):
         g = dg.build(4, alphabet)
+        rows = dg.inverse_rows(g)
         cols = {}
         for i in g.vertices:
             row = {}
@@ -107,7 +109,7 @@ def test_path_enumeration_matches_recurrence():
                 if c:
                     row[k] = c
                     cols.setdefault(k, {})[i] = c
-            assert dg.inverse_row(g, i) == row, i
+            assert dg.inverse_row(g, i) == row == rows[i], i
         for k in g.vertices:
             assert dg.inverse_column(g, k) == cols[k], k
 
@@ -151,7 +153,7 @@ def _by_key_cases():
 
 def test_sweeps_by_key_match_the_graph():
     # the triangular solves by key give, on one basis element, the graph's
-    # swept inverse row and column of that vertex
+    # inverse row and column of that vertex
     for g in _by_key_cases():
         for v in g.vertices:
             assert dg.solve_rows({v: 1}) == dg.inverse_row(g, v), v
@@ -161,6 +163,16 @@ def test_sweeps_by_key_match_the_graph():
     assert dg.solve_columns({(): 1}) == {(): 1}
     with pytest.raises(ValueError):
         dg.build(0, AB)
+
+
+def test_whole_table_sweep_matches_back_substitution():
+    # two independent inversions of L check each other on every vertex: the
+    # sweep over all rows at once, and the back-substitution of one row over
+    # the graph's out-edges and over L rows by key
+    for g in _by_key_cases():
+        rows = dg.inverse_rows(g)
+        for i in g.vertices:
+            assert rows[i] == dg.inverse_row(g, i) == dg.solve_rows({i: 1}), i
 
 
 def test_ell_columns_are_the_graph_in_edges():
@@ -202,7 +214,7 @@ def test_row_strict_graph_is_cyclic_and_bridged():
     assert not g.is_acyclic
     assert g.out_edges(("aa",)) == {("a", "a"): 1}
     assert g.out_edges(("a", "a")) == {("aa",): 1}
-    for inverse in (dg.inverse_row, dg.inverse_column):
+    for inverse in (dg.inverse_row, dg.inverse_column, lambda g, v: dg.inverse_rows(g)):
         with pytest.raises(ValueError):
             inverse(g, ("aa",))
     with pytest.raises(ValueError):
