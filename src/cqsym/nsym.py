@@ -20,11 +20,13 @@ whole suffix chain when read again, and the verify sweeps read each one
 several times.
 
 convert takes the shortest chain of the single-step routes in _ROUTES: the
-Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, the
-creation operators IM -> H and RSIM -> E, and the inversions IM/RSIM -> R
-(one triangular solve over the whole expression, descent_graph.solve_columns).
-So H and E reach IM and RSIM, and IM and RSIM reach each other, through R,
-and RSIM reaches H through E.
+Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, and the
+inversions IM/RSIM -> R (one triangular solve over the whole expression,
+descent_graph.solve_columns).  Every route into or out of IM and RSIM goes
+through R: IM -> H is IM -> R -> H and RSIM -> E is RSIM -> R -> E.  The
+creation operators, and so their memos, are on no route: immaculate_in_h,
+the creation command and the duality and Pieri suites read them, as a check
+of the solve that shares no code with it.
 
 Every other single-step route, and the antipode, rewrites an expression one
 term at a time, so each is a row route (exprs.row_route), and psi is the one
@@ -134,7 +136,14 @@ def immaculate_in_h(j: Sentence, alphabet: Alphabet) -> Expr:
 # ---------------------------------------------------------------------------
 # conversions
 
-_r_to_h = row_route("H", lambda alphabet, i: alternating(coarsenings(i), len(i)))
+# R_D is the signed sum of H_K over the coarsenings K of D; psi sends H_K to
+# E_K and R_D to R_complement(D), so it is also the signed sum of E_K over the
+# coarsenings K of complement(D)
+def _signed_coarsenings(i: Sentence) -> dict:
+    return alternating(coarsenings(i), len(i))
+
+
+_r_to_h = row_route("H", lambda alphabet, i: _signed_coarsenings(i))
 _h_to_r = row_route("R", lambda alphabet, i: dict.fromkeys(coarsenings(i), 1))
 # elementary <-> complete: the same signed refinement sum both ways; the
 # matrix squares to the identity, which the test suite asserts per degree
@@ -142,6 +151,7 @@ _e_to_h = row_route("H", lambda alphabet, i: alternating(refinements(i), size(i)
 _h_to_e = row_route("E", lambda alphabet, i: alternating(refinements(i), size(i)))
 # E_J is the sum of the ribbons over the refinements of complement(J)
 _e_to_r = row_route("R", lambda alphabet, i: dict.fromkeys(refinements(complement(i)), 1))
+_r_to_e = row_route("E", lambda alphabet, i: _signed_coarsenings(complement(i)))
 
 
 # R_C is the sum over shapes J of L[J][C] IM_J (the transpose of DI -> F).
@@ -151,11 +161,6 @@ _e_to_r = row_route("R", lambda alphabet, i: dict.fromkeys(refinements(complemen
 # H -> R composed with these L columns).
 _r_to_im = row_route("IM", lambda alphabet, c: ell_column(c))
 _r_to_rsim = row_route("RSIM", lambda alphabet, c: ell_column(complement(c)))
-
-# the creation operators give IM in H; psi swaps H and E and sends IM to
-# RSIM, so the row-strict immaculate of j is the same row with H relabelled E
-_im_to_h = row_route("H", _imm_h_row)
-_rsim_to_e = row_route("E", _imm_h_row)
 
 
 # the inverse of R -> IM, one triangular solve over the L columns
@@ -168,17 +173,15 @@ def _rsim_to_r(e: Expr) -> Expr:
     return Expr("R", e.alphabet, {complement(i): c for i, c in dg.solve_columns(e.terms).items()})
 
 
-# listed so that R -> E takes R -> H -> E, not the equally short R -> RSIM -> E
 _ROUTES = {
     ("R", "H"): _r_to_h,
     ("H", "R"): _h_to_r,
     ("E", "H"): _e_to_h,
     ("H", "E"): _h_to_e,
     ("E", "R"): _e_to_r,
+    ("R", "E"): _r_to_e,
     ("R", "IM"): _r_to_im,
     ("R", "RSIM"): _r_to_rsim,
-    ("IM", "H"): _im_to_h,
-    ("RSIM", "E"): _rsim_to_e,
     ("IM", "R"): _im_to_r,
     ("RSIM", "R"): _rsim_to_r,
 }

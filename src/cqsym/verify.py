@@ -14,7 +14,10 @@ same either way.  State that every case reads is built before the fork.
 Duality is checked as sparse rows of the pairing matrix: each DI_J (and
 RSDI_J) is expanded in M once and indexed by M key, and each IM_I (and
 RSIM_I) expanded in H sums into the row of <IM_I, DI_J> over every J, which
-must be the unit vector at I.  Every pair is still covered and counted.
+must be the unit vector at I.  Every pair is still covered and counted.  The
+H expansions come from the creation operators (RSIM_I is the IM_I row with H
+relabelled E, then E -> H), not from nsym.convert: that goes through the L
+columns, and would pair the L table with itself.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ def _duality(alphabet, max_degree):
 
     def check(i):
         indices, pairings = degrees[size(i)]
+        imm = nsym._imm_h_row(alphabet, i)
+        in_h = {"IM": imm, "RSIM": nsym.convert(Expr("E", alphabet, imm), "H").terms}
         rows = []
         for name, im, by_m in pairings:
             row = {}
-            for k, c in nsym.convert(Expr.basis(im, i, alphabet), "H").terms.items():
+            for k, c in in_h[im].items():
                 for j, d in by_m.get(k, ()):
                     row[j] = row.get(j, 0) + c * d
             rows.append((name, {j: v for j, v in row.items() if v}))

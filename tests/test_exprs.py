@@ -255,10 +255,10 @@ CONVERSION_PLANS = {
     "nsym": {
         ("H", "E"): "H E", ("H", "R"): "H R", ("H", "IM"): "H R IM", ("H", "RSIM"): "H R RSIM",
         ("E", "H"): "E H", ("E", "R"): "E R", ("E", "IM"): "E R IM", ("E", "RSIM"): "E R RSIM",
-        ("R", "H"): "R H", ("R", "E"): "R H E", ("R", "IM"): "R IM", ("R", "RSIM"): "R RSIM",
-        ("IM", "H"): "IM H", ("IM", "E"): "IM H E", ("IM", "R"): "IM R",
+        ("R", "H"): "R H", ("R", "E"): "R E", ("R", "IM"): "R IM", ("R", "RSIM"): "R RSIM",
+        ("IM", "H"): "IM R H", ("IM", "E"): "IM R E", ("IM", "R"): "IM R",
         ("IM", "RSIM"): "IM R RSIM",
-        ("RSIM", "H"): "RSIM E H", ("RSIM", "E"): "RSIM E", ("RSIM", "R"): "RSIM R",
+        ("RSIM", "H"): "RSIM R H", ("RSIM", "E"): "RSIM R E", ("RSIM", "R"): "RSIM R",
         ("RSIM", "IM"): "RSIM R IM",
     },
 }

@@ -87,16 +87,16 @@ def test_immaculate_in_h():
 
 
 def test_creation_memos_are_bounded_and_evictions_change_no_row():
-    # IM -> H and RSIM -> E read the creation memos: every row computed from
-    # empty memos equals the row computed after the Bernstein memo has
-    # evicted, and neither memo holds more than its bound
+    # immaculate_in_h and _imm_h_row read the creation memos: every row
+    # computed from empty memos equals the row computed after the Bernstein
+    # memo has evicted, and neither memo holds more than its bound
     memos = (nsym._bernstein_terms, nsym._imm_h_terms)
     sentences = [j for n in range(6) for j in all_sentences(AB, n)]
 
     def rows(j):
         return (
-            str(nsym.convert(Expr.basis("IM", j, AB), "H")),
-            str(nsym.convert(Expr.basis("RSIM", j, AB), "E")),
+            str(nsym.immaculate_in_h(j, AB)),
+            str(Expr("E", AB, nsym._imm_h_row(AB, j))),
         )
 
     fresh = []

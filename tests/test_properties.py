@@ -2,8 +2,9 @@
 letters: the L rows and columns by key against the whole-degree tables, psi
 as an involution on both sides, the Mobius maps and antipodes (row routes)
 against their signed sums written out here, and the triangular solves on
-random mixed-degree expressions against the descent graph's inverses and
-through round trips.
+random mixed-degree expressions against the descent graph's inverses,
+through round trips, and (IM -> H and RSIM -> E) against the creation
+operators.
 
 The examples are derandomized and their number fixed, so a run is
 deterministic and its cost bounded."""
@@ -180,3 +181,28 @@ def test_conversions_through_the_solves_round_trip(tag, through, data):
     there = convert(e, through)
     assert there.tag == through
     assert convert(there, tag) == e
+
+
+# IM -> H and RSIM -> E go through the L columns (IM/RSIM -> R -> H/E); the
+# creation operators, which are on no conversion route, build the same rows
+
+@pytest.mark.parametrize("tag, target", [("IM", "H"), ("RSIM", "E")])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conversions_from_the_immaculates_equal_the_creation_operators(tag, target, data):
+    e = data.draw(combinations_of(tag))
+    want = Expr(target, e.alphabet)
+    for j, c in e.terms.items():
+        for k, coef in nsym.immaculate_in_h(j, e.alphabet).terms.items():
+            want.add_term(k, c * coef)
+    assert nsym.convert(e, target) == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ribbons_to_elementaries_are_psi_of_ribbons_to_completes(data):
+    # psi complements the R indices and relabels H as E, both written out
+    # here; R -> H is checked against its signed sum above
+    e = data.draw(combinations_of("R"))
+    flipped = Expr("R", e.alphabet, {complement(i): c for i, c in e.terms.items()})
+    assert nsym.convert(e, "E") == Expr("E", e.alphabet, nsym.convert(flipped, "H").terms)

@@ -30,9 +30,11 @@ def _per_pair_duality(alphabet, max_degree):
 
     for n in range(1, max_degree + 1):
         indices = all_sentences(alphabet, n)
-        h_side = {i: nsym.convert(Expr.basis("IM", i, alphabet), "H") for i in indices}
+        # the creation operators' rows, as the suite reads them: IM_i in H,
+        # and RSIM_i as the same row relabelled E
+        h_side = {i: nsym.immaculate_in_h(i, alphabet) for i in indices}
         m_side = {j: qsym.convert(Expr.basis("DI", j, alphabet), "M") for j in indices}
-        hrs = {i: nsym.convert(Expr.basis("RSIM", i, alphabet), "H") for i in indices}
+        hrs = {i: Expr("E", alphabet, nsym._imm_h_row(alphabet, i)) for i in indices}
         mrs = {j: qsym.convert(Expr.basis("RSDI", j, alphabet), "M") for j in indices}
         for i in indices:
             for j in indices:
