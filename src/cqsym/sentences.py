@@ -150,7 +150,10 @@ def from_splits(word: Word, positions: Iterable[int]) -> Sentence:
 # (one maximal word, so reverse-lex on word lengths), depend on its word
 # lengths alone.  So each composition has two plans, built once and already
 # in that order: the slice tuples that cut its maximal word into each
-# refinement, or coarsening.  1,024 plans hold every composition of size at
+# refinement, or coarsening.  _plans walks the cut positions left to right
+# and puts "no cut" before "cut" at each free one, so it builds only the
+# split sets it returns, in order.  One cache of 2,048 plans, keyed by word
+# lengths and direction, holds both plans of every composition of size at
 # most 10, the empty one included.
 
 def is_refinement(i: Sentence, j: Sentence) -> bool:
@@ -161,39 +164,33 @@ def is_refinement(i: Sentence, j: Sentence) -> bool:
 def coarsenings(i: Sentence) -> list:
     """All sentences obtained by merging adjacent words of i, i included."""
     w = maximal_word(i)
-    return [tuple(map(w.__getitem__, plan)) for plan in _coarsening_plans(word_lengths(i))]
+    return [tuple(map(w.__getitem__, plan)) for plan in _plans(word_lengths(i), True)]
 
 
 def refinements(i: Sentence) -> list:
     """All sentences obtained by splitting words of i further, i included."""
     w = maximal_word(i)
-    return [tuple(map(w.__getitem__, plan)) for plan in _refinement_plans(word_lengths(i))]
+    return [tuple(map(w.__getitem__, plan)) for plan in _plans(word_lengths(i), False)]
 
 
-@lru_cache(maxsize=1024)
-def _refinement_plans(lengths: tuple) -> tuple:
-    return _plans(lengths, lambda split, base: (split & base) == base)
-
-
-@lru_cache(maxsize=1024)
-def _coarsening_plans(lengths: tuple) -> tuple:
-    return _plans(lengths, lambda split, base: (split | base) == base)
-
-
-def _plans(lengths: tuple, keep) -> tuple:
-    """Plans of the split sets that keep(split, base) admits, base being the
-    splits of lengths; bit p-1 marks a split after position p."""
+@lru_cache(maxsize=2048)
+def _plans(lengths: tuple, coarsen: bool, /) -> tuple:
+    """The plans of the refinements of lengths, or of its coarsenings if
+    coarsen.  A split set is the kept splits (all of lengths' splits, or
+    none) plus any subset of the free positions (the other positions, or
+    the splits).  Deciding the lowest free position first, no cut before
+    cut, gives the sets in canonical order."""
     n = sum(lengths)
     if not n:
         return ((),)
-    base = sum(1 << (p - 1) for p in itertools.accumulate(lengths[:-1]))
-    out = []
-    for split in range(1 << (n - 1)):
-        if keep(split, base):
-            cuts = [0] + [p for p in range(1, n) if split >> (p - 1) & 1] + [n]
-            out.append(tuple(map(slice, cuts, cuts[1:])))
-    out.sort(key=lambda plan: [s.start - s.stop for s in plan])
-    return tuple(out)
+    splits = set(itertools.accumulate(lengths[:-1]))
+    cut_sets = [(0,)]
+    for p in range(1, n):
+        if (p in splits) == coarsen:  # free
+            cut_sets = [c + cut for c in cut_sets for cut in ((), (p,))]
+        elif p in splits:  # kept
+            cut_sets = [c + (p,) for c in cut_sets]
+    return tuple(tuple(map(slice, c, c[1:] + (n,))) for c in cut_sets)
 
 
 def mobius(j: Sentence, i: Sentence) -> int:
@@ -357,16 +354,10 @@ def sort_sentences(seq: Iterable[Sentence], alphabet: Alphabet) -> list:
 # enumeration
 
 def all_compositions(n: int) -> list:
-    """Compositions of n, in canonical (reverse-lex) order."""
-    if n == 0:
-        return [()]
-    out = []
-    for r in range(n):
-        for cuts in itertools.combinations(range(1, n), r):
-            cuts = (0,) + cuts + (n,)
-            out.append(tuple(b - a for a, b in zip(cuts, cuts[1:])))
-    out.sort(key=lambda c: tuple(-p for p in c))
-    return out
+    """Compositions of n, in canonical (reverse-lex) order: the
+    refinements of one word of size n."""
+    plans = _plans((n,) if n else (), False)
+    return [tuple(s.stop - s.start for s in plan) for plan in plans]
 
 
 def all_words(alphabet: Alphabet, n: int) -> list:
@@ -374,16 +365,10 @@ def all_words(alphabet: Alphabet, n: int) -> list:
 
 
 def all_sentences(alphabet: Alphabet, n: int) -> list:
-    """All sentences of size n over the alphabet, in canonical order."""
-    if n == 0:
-        return [()]
-    out = []
-    for word in itertools.product(alphabet.colors, repeat=n):
-        word = "".join(word)
-        for r in range(n):
-            for cuts in itertools.combinations(range(1, n), r):
-                out.append(from_splits(word, cuts))
-    return sort_sentences(out, alphabet)
+    """All sentences of size n over the alphabet, in canonical order: word
+    lengths first, then the maximal word."""
+    plans, words = _plans((n,) if n else (), False), all_words(alphabet, n)
+    return [tuple(map(w.__getitem__, plan)) for plan in plans for w in words]
 
 
 def sentence_count(alphabet: Alphabet, n: int) -> int:

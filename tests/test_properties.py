@@ -4,11 +4,13 @@ as an involution on both sides, the Mobius maps and antipodes (row routes)
 against their signed sums written out here, and the triangular solves on
 random mixed-degree expressions against the descent graph's inverses,
 through round trips, and (IM -> H and RSIM -> E) against the creation
-operators.
+operators, and every conversion between two tags of one side as a round
+trip on random Fraction expressions that hold the () term.
 
 The examples are derandomized and their number fixed, so a run is
 deterministic and its cost bounded."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -206,3 +208,34 @@ def test_ribbons_to_elementaries_are_psi_of_ribbons_to_completes(data):
     e = data.draw(combinations_of("R"))
     flipped = Expr("R", e.alphabet, {complement(i): c for i, c in e.terms.items()})
     assert nsym.convert(e, "E") == Expr("E", e.alphabet, nsym.convert(flipped, "H").terms)
+
+
+# every conversion between two tags of one side, both ways, on expressions
+# of mixed degree with Fraction coefficients and the degree-0 term
+
+TAG_PAIRS = [pair for tags in (QSYM_TAGS, NSYM_TAGS) for pair in combinations(tags, 2)]
+
+
+@st.composite
+def fraction_combinations_of(draw, tag, max_size=5):
+    """c * () plus one to three basis terms of one alphabet, of sizes
+    1..max_size, all with non-zero Fraction coefficients."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    coefficients = st.sampled_from((Fraction(-5, 2), Fraction(-1), Fraction(1, 3), Fraction(2)))
+    e = Expr(tag, alphabet)
+    e.add_term((), draw(coefficients))
+    for _ in range(draw(st.integers(1, 3))):
+        e.add_term(_sentence(draw, alphabet, max_size), draw(coefficients))
+    return e
+
+
+@pytest.mark.parametrize("tag, other", TAG_PAIRS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_conversion_on_a_side_round_trips(tag, other, data):
+    convert = qsym.convert if tag in QSYM_TAGS else nsym.convert
+    for source, target in ((tag, other), (other, tag)):
+        e = data.draw(fraction_combinations_of(source))
+        there = convert(e, target)
+        assert there.tag == target
+        assert convert(there, source) == e

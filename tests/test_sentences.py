@@ -109,21 +109,55 @@ def test_refinement_and_coarsening_order():
 
 
 def test_plan_caches_are_bounded():
-    # every composition of size at most 10 (the empty one included) fits in
-    # each plan cache, so a long-lived process never evicts and never grows past it
-    plans = (sentences._refinement_plans, sentences._coarsening_plans)
-    for cache in plans:
-        cache.cache_clear()
+    # both plans of every composition of size at most 10 (the empty one
+    # included) fit in the plan cache, so a long-lived process never evicts
+    # and never grows past it
     compositions = [c for n in range(11) for c in all_compositions(n)]
     assert len(compositions) == 1024
+    sentences._plans.cache_clear()
     for comp in compositions:
         s = tuple("a" * p for p in comp)
         refinements(s)
         coarsenings(s)
-    for cache in plans:
-        info = cache.cache_info()
-        assert info.maxsize == 1024
-        assert info.currsize == info.misses == 1024
+    info = sentences._plans.cache_info()
+    assert info.maxsize == 2048
+    assert info.currsize == info.misses == 2048
+
+
+def _reference_compositions(n):
+    # every cut set of n, then sorted reverse-lex
+    if n == 0:
+        return [()]
+    out = []
+    for r in range(n):
+        for cuts in itertools.combinations(range(1, n), r):
+            cuts = (0,) + cuts + (n,)
+            out.append(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+    out.sort(key=lambda c: tuple(-p for p in c))
+    return out
+
+
+def _reference_sentences(alphabet, n):
+    # every word cut at every cut set, then sorted by the canonical key
+    if n == 0:
+        return [()]
+    out = []
+    for word in itertools.product(alphabet.colors, repeat=n):
+        word = "".join(word)
+        for r in range(n):
+            for cuts in itertools.combinations(range(1, n), r):
+                out.append(from_splits(word, cuts))
+    return sentences.sort_sentences(out, alphabet)
+
+
+def test_enumerations_equal_enumerate_then_sort():
+    # the ordered walk of cut sets gives the same lists, in the same order,
+    # as enumerating every cut set and sorting
+    for n in range(11):
+        assert all_compositions(n) == _reference_compositions(n), n
+    for alphabet, top in ((AB, 7), (ABC, 5)):
+        for n in range(top + 1):
+            assert all_sentences(alphabet, n) == _reference_sentences(alphabet, n), (alphabet, n)
 
 
 def test_unbounded_caches_do_not_grow_in_number():
