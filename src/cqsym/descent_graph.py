@@ -7,18 +7,18 @@ in-edges of J its L column.  For the immaculate variant every edge strictly
 decreases the word-length composition in lexicographic order, so the graph
 is acyclic and its signed path sums invert the L matrix: they are the
 combinatorial reading of the triangular solves that the conversions run.
-The conversion routes build no graph: F -> DI and IM -> R are each one
-triangular solve over the whole expression (solve_rows, solve_columns),
-reading one L row or column by key per term of the answer.  The column walk
-by key (tableaux.ell_column) is thus a combinatorial description of the
-graph's in-edges.
+The conversion routes build no graph and import none of this module: F -> DI
+and IM -> R are each one triangular solve over the whole expression
+(tableaux.solve_rows, tableaux.solve_columns), reading one L row or column
+by key per term of the answer.  The column walk by key (tableaux.ell_column)
+is thus a combinatorial description of the graph's in-edges.
 
 On a built graph (for `coeffs` and the tests) L is inverted in two ways.
 inverse_rows makes every inverse row in one sweep over the vertices in
 increasing word-length order, a topological order, so each vertex comes
 after all of its out-neighbours.  inverse_row and inverse_column run the
-conversions' back-substitution over the graph's out-edges and in-edges in
-place of L rows and columns.
+conversions' back-substitution (tableaux._back_substitute) over the graph's
+out-edges and in-edges in place of L rows and columns.
 
 The row-strict variant is NOT acyclic in general (already at n = 2 the
 shapes (aa) and (a,a) form a 2-cycle), so it is built only for export
@@ -31,10 +31,9 @@ from __future__ import annotations
 import csv
 import io
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 
 from .sentences import Alphabet, Sentence, sentence_count, sentence_str, sort_sentences, word_lengths
-from .tableaux import IMMACULATE, WHOLE_DEGREE_CACHE, _check_variant, ell_column, ell_row, ell_table
+from .tableaux import IMMACULATE, WHOLE_DEGREE_CACHE, _back_substitute, _check_variant, _larger_first, ell_table
 
 DEFAULT_VERTEX_CAP = 10**6
 
@@ -153,67 +152,18 @@ def inverse_coeff(g: DescentGraph, i: Sentence, k: Sentence) -> int:
 
 def inverse_row(g: DescentGraph, i: Sentence) -> dict:
     """All nonzero inverse coefficients from i: the back-substitution of
-    solve_rows, subtracting the graph's out-edges in place of L rows."""
+    tableaux.solve_rows, subtracting the graph's out-edges in place of L
+    rows."""
     _require_acyclic(g)
     return _back_substitute({i: 1}, g.out_edges, _larger_first)
 
 
 def inverse_column(g: DescentGraph, k: Sentence) -> dict:
     """All nonzero inverse coefficients into k, indexed by the source: the
-    back-substitution of solve_columns, subtracting along the graph's
-    in-edges in place of L columns."""
+    back-substitution of tableaux.solve_columns, subtracting along the
+    graph's in-edges in place of L columns."""
     _require_acyclic(g)
     return _back_substitute({k: 1}, g.in_edges, word_lengths)
-
-
-# ---------------------------------------------------------------------------
-# change of basis without the graph, L being unitriangular in word-length
-# order.  A step pushes keys of the popped key's degree, strictly later in
-# the heap's order, so one heap serves mixed degrees and pops each key once,
-# after every key feeding it.
-
-def _back_substitute(terms: dict, line, order) -> dict:
-    """{v: x_v} with sum_v x_v line(v) = terms, where line(v) holds v with
-    weight 1 and otherwise keys later in order: pop the first key v, take
-    its residual as x_v, and subtract x_v * line(v) off the diagonal."""
-    residual = dict(terms)
-    heap = [(order(v), v) for v in residual]
-    heapify(heap)
-    out = {}
-    while heap:
-        v = heappop(heap)[1]
-        x = residual.pop(v)
-        if x:
-            out[v] = x
-            for j, w in line(v).items():
-                if j != v:
-                    if j not in residual:
-                        residual[j] = 0
-                        heappush(heap, (order(j), j))
-                    residual[j] -= w * x
-    return out
-
-
-def _larger_first(v: Sentence) -> tuple:
-    return tuple([-p for p in word_lengths(v)])
-
-
-def solve_rows(terms: dict) -> dict:
-    """The DI coefficients of the F expression with these terms, largest
-    word lengths first, subtracting L rows.  Negating the word lengths
-    reverses their order within a degree, where no composition is a prefix
-    of another; the degree-0 row's one key, ("",), is its diagonal entry."""
-    return _back_substitute(
-        terms,
-        lambda v: ell_row(v, IMMACULATE) if v else {},
-        _larger_first,
-    )
-
-
-def solve_columns(terms: dict) -> dict:
-    """The R coefficients of the IM expression with these terms, smallest
-    word lengths first, subtracting along L columns."""
-    return _back_substitute(terms, ell_column, word_lengths)
 
 
 def reachable(g: DescentGraph, root: Sentence) -> list:

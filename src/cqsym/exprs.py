@@ -98,16 +98,12 @@ def side_psi(convert, pivot: str, tags: dict):
 
 def row_route(out_tag: str, row):
     """A map that replaces each term c * X_j by c times row(alphabet, j), a
-    dict from out_tag index to coefficient.  The empty index maps to itself:
-    true of every route and antipode, but not of the right perp or the
-    creation operators, so nsym.mrperp and nsym.bernstein are not row routes."""
+    dict from out_tag index to coefficient.  The empty index is an index
+    like any other: every route and antipode has the row {(): 1} there."""
 
     def route(e: Expr) -> Expr:
         out = Expr(out_tag, e.alphabet)
         for j, c in e.terms.items():
-            if not j:
-                out.add_term((), c)
-                continue
             for k, coef in row(e.alphabet, j).items():
                 out.add_term(k, c * coef)
         return out

@@ -26,22 +26,23 @@ no measurable change.
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 Mobius maps between H, E and R, the L columns by key R -> IM/RSIM, and the
 inversions IM/RSIM -> R (one triangular solve over the whole expression,
-descent_graph.solve_columns).  Every route into or out of IM and RSIM goes
-through R: IM -> H is IM -> R -> H and RSIM -> E is RSIM -> R -> E.  The
-creation operators stay as a check of the solve that shares no code with it.
+tableaux.solve_columns).  L by key is immaculate only: the RSIM routes
+complement the R index, since L_RS[J][C] = L[J][C^c].  Every route into or
+out of IM and RSIM goes through R: IM -> H is IM -> R -> H and RSIM -> E is
+RSIM -> R -> E.  The creation operators stay as a check of the solve that
+shares no code with it.
 
 Every other single-step route, and the antipode, rewrites an expression one
 term at a time, so each is a row route (exprs.row_route), and psi is the one
 built for both sides by exprs.side_psi, with R as its pivot.  The right perp
-and the creation operators stay loops: a row route maps H[()] to itself,
-but mrperp(s, H[()]) is 0 for s != () and bernstein(v, H[()]) is H[v].
+and the creation operators take an argument besides the expression (s or
+v), so they stay loops.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import descent_graph as dg
 from . import qsym
 from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter, side_psi
 from .sentences import (
@@ -61,7 +62,7 @@ from .sentences import (
     suffix_removals,
     word_lengths,
 )
-from .tableaux import ell_column
+from .tableaux import ell_column, solve_columns
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +168,12 @@ _r_to_rsim = row_route("RSIM", lambda alphabet, c: ell_column(complement(c)))
 
 # the inverse of R -> IM, one triangular solve over the L columns
 def _im_to_r(e: Expr) -> Expr:
-    return Expr("R", e.alphabet, dg.solve_columns(e.terms))
+    return Expr("R", e.alphabet, solve_columns(e.terms))
 
 
 # psi fixes R up to complementing the index and sends IM to RSIM
 def _rsim_to_r(e: Expr) -> Expr:
-    return Expr("R", e.alphabet, {complement(i): c for i, c in dg.solve_columns(e.terms).items()})
+    return Expr("R", e.alphabet, {complement(i): c for i, c in solve_columns(e.terms).items()})
 
 
 _ROUTES = {

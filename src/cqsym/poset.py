@@ -18,8 +18,10 @@ standardizing them gives its F expansion, one F term per standard skew
 tableau: the tableau's reading word cut after each descent of the variant
 (t is an immaculate descent when t+1 sits in a lower row, and the
 row-strict cuts are the complement).  skew_expand walks the standard skew
-tableaux (skew_descent_counts) and converts that F expansion to the target
-basis, and coproduct_di sums one skew expansion per inner shape.  The
+tableaux (tableaux.descent_counts, immaculate; the row-strict expansion
+complements its keys) and converts that F expansion to the target basis,
+and coproduct_di sums one skew expansion per inner shape.  The empty skew
+shape has one filling, which reads (), so its expansion is F[()].  The
 pairing definition, and the count of every skew tableau by type, are the
 references the tests check it against.
 """
@@ -27,13 +29,13 @@ references the tests check it against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import accumulate
 
 from . import nsym, qsym
 from .exprs import Expr, TensorExpr
 from .sentences import Alphabet, Sentence, containment, maximal_word, sentence_str, word_lengths
-from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, descent_counts, fillings
+from .tableaux import IMMACULATE, Filling, _check_variant, _standard_walk, descent_counts, fillings, row_strict_row
 
 CoverEdge = namedtuple("CoverEdge", ["lower", "upper", "row", "color"])
 
@@ -184,21 +186,12 @@ def enumerate_skew_tableaux(outer: Sentence, inner: Sentence, variant: str = IMM
 # ---------------------------------------------------------------------------
 # skew expansions, structure constants, coproduct
 
-def skew_descent_counts(outer: Sentence, inner: Sentence, variant: str) -> dict:
-    """tableaux.descent_counts: the F expansion of the skew (row-strict)
-    dual immaculate function of outer/inner, whose inner shape must be
-    left-contained in outer; the empty skew shape gives F[()]."""
-    _check_variant(variant)
-    if sum(map(len, outer)) == sum(map(len, inner)):
-        return Counter({(): 1})
-    return descent_counts(outer, inner, variant)
-
-
 def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, variant: str = IMMACULATE) -> Expr:
     """The skew (row-strict) dual immaculate function of shape i/j in the M,
     F, DI or RSDI basis: each standard skew tableau of shape i/j gives the F
-    term of its descent composition (skew_descent_counts), and the F
-    expansion is converted to the target."""
+    term of its descent composition (tableaux.descent_counts, complemented
+    for the row-strict variant), and the F expansion is converted to the
+    target."""
     _check_variant(variant)
     _require_left_contained(j, i)
     dual_tag = "DI" if variant == IMMACULATE else "RSDI"
@@ -206,7 +199,10 @@ def skew_expand(i: Sentence, j: Sentence, target: str, alphabet: Alphabet, varia
         raise ValueError(
             f"skew target must be M, F or {dual_tag} for the {variant} variant"
         )
-    return qsym.convert(Expr("F", alphabet, skew_descent_counts(i, j, variant)), target)
+    counts = descent_counts(i, j)
+    if variant != IMMACULATE:
+        counts = row_strict_row(counts)
+    return qsym.convert(Expr("F", alphabet, counts), target)
 
 
 def structure_constants(j: Sentence, k: Sentence, alphabet: Alphabet) -> dict:

@@ -5,7 +5,10 @@ uncoloring, and a truncated polynomial realization used as a product oracle.
 convert takes the shortest chain of the single-step routes in _ROUTES: the
 tableau expansions DI/RSDI -> F (one L row by key per term), the Mobius pair
 M <-> F, the inversion F -> DI (one triangular solve over the whole
-expression, descent_graph.solve_rows), and its complement twin F -> RSDI.
+expression, tableaux.solve_rows), and its complement twin F -> RSDI.  L by
+key is immaculate only: RSDI -> F complements the keys of each row
+(tableaux.row_strict_row), and F -> RSDI the F indices, since
+L_RS[J][C] = L[J][C^c].
 Every other pair, M <-> DI/RSDI and DI <-> RSDI, goes through F, so no route
 builds the Kostka matrix (L composed with F -> M).  Every other single-step
 route, and the antipode, is a row route (exprs.row_route), and psi is the
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from . import descent_graph as dg
 from .exprs import Expr, TensorExpr, UncoloredExpr, require_side, row_route, side_converter, side_psi
 from .sentences import (
     alternating,
@@ -28,7 +30,7 @@ from .sentences import (
     reversal,
     word_lengths,
 )
-from .tableaux import IMMACULATE, ROW_STRICT, ell_row
+from .tableaux import IMMACULATE, ROW_STRICT, ell_row, row_strict_row, solve_rows
 
 
 # single-step routes ---------------------------------------------------
@@ -37,18 +39,18 @@ _f_to_m = row_route("M", lambda alphabet, i: dict.fromkeys(refinements(i), 1))
 _m_to_f = row_route("F", lambda alphabet, i: alternating(refinements(i), len(i)))
 
 
-_di_to_f = row_route("F", lambda alphabet, j: ell_row(j, IMMACULATE))
-_rsdi_to_f = row_route("F", lambda alphabet, j: ell_row(j, ROW_STRICT))
+_di_to_f = row_route("F", lambda alphabet, j: ell_row(j))
+_rsdi_to_f = row_route("F", lambda alphabet, j: row_strict_row(ell_row(j)))
 
 
 def _f_to_di(e: Expr) -> Expr:
-    return Expr("DI", e.alphabet, dg.solve_rows(e.terms))
+    return Expr("DI", e.alphabet, solve_rows(e.terms))
 
 
 # psi sends F_I to F_{I^c} and DI to RSDI, so F -> RSDI is F -> DI with the
 # F indices complemented
 def _f_to_rsdi(e: Expr) -> Expr:
-    return Expr("RSDI", e.alphabet, dg.solve_rows({complement(i): c for i, c in e.terms.items()}))
+    return Expr("RSDI", e.alphabet, solve_rows({complement(i): c for i, c in e.terms.items()}))
 
 
 _ROUTES = {

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
 
 Word = str
 Sentence = tuple  # tuple[Word, ...]
@@ -212,8 +212,8 @@ def alternating(sentences: Iterable[Sentence], length: int = 0) -> dict:
 # involutions
 
 def complement(i: Sentence) -> Sentence:
-    """Same maximal word, splits exactly where i does not; ("",), the
-    degree-0 descent composition, is its own complement."""
+    """Same maximal word, splits exactly where i does not; (), the degree-0
+    descent composition, is its own complement."""
     if not i:
         return ()
     out, piece = [], ""  # piece: the word still open across i's splits
@@ -263,7 +263,7 @@ def quasishuffle(i: Sentence, j: Sentence) -> Counter:
 # ---------------------------------------------------------------------------
 # containment and quotients
 
-def containment(j: Sentence, i: Sentence, side: str) -> Optional[Sentence]:
+def containment(j: Sentence, i: Sentence, side: str) -> Sentence | None:
     """Left or right quotient of i by the weak sentence j, or None.
 
     j is padded with trailing empty words to the length of i; the quotient is

@@ -14,17 +14,20 @@ Standard tableaux (each of 1..n once) have the same integer fillings in both
 variants, but different descent data: value t is an immaculate descent when
 t+1 sits in a strictly lower row, and a row-strict descent when t+1 sits in a
 weakly higher row.  The colored descent composition splits the reading word
-(colors in value order) after each descent.  So each t < n is a descent of
-exactly one variant, and the row-strict descent composition of a filling is
-the complement of its immaculate one.
+(colors in value order) after each descent, and the empty filling's is ().
+So each t < n is a descent of exactly one variant, and the row-strict
+descent composition of a filling is the complement of its immaculate one:
+L_RS[J][C] = L[J][C^c].
 
-The L matrix is read two ways.  By key: ell_row and ell_column walk only
-the standard fillings of one row or column, and every conversion route
-reads L this way.  By degree:
-standard_data holds every immaculate row of a degree, ell_table reads the
-row-strict ones from it with every key complemented, and ell_columns is its
-transpose; these whole-degree views serve descent_graph.build (so `graph`
-and `coeffs`) and the tests.
+This module owns L by key, immaculate only: ell_row and ell_column walk
+only the standard fillings of one row or column, descent_counts does the
+same on skew shapes, and the two triangular solves that invert L
+(solve_rows, solve_columns) read them.  Every conversion route reads L this
+way; a row-strict reader complements the keys (row_strict_row) or the index
+(sentences.complement) itself.  By degree: standard_data holds every
+immaculate row of a degree, ell_table reads the row-strict ones from it with
+every key complemented, and ell_columns is its transpose; these whole-degree
+views serve descent_graph.build (so `graph` and `coeffs`) and the tests.
 
 One filler, `fillings`, enumerates tableaux by shape for both variants: on
 straight shapes and on skew shapes (poset.enumerate_skew_tableaux), with a
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import itemgetter
 
@@ -47,6 +51,7 @@ from .sentences import (
     all_words,
     complement,
     flatten,
+    from_splits,
     refinements,
     sentence_str,
     size,
@@ -203,10 +208,7 @@ class Tableau(Filling):
 
     def descent_composition(self) -> Sentence:
         """Split the reading word after each descent of the variant."""
-        word = self.reading_word()
-        des = sorted(self.descent_set())
-        cuts = [0] + des + [len(word)]
-        return tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
+        return from_splits(self.reading_word(), self.descent_set())
 
     def render_block(self) -> str:
         """CLI block: rows of "color,entry" cells separated by '|'."""
@@ -233,8 +235,8 @@ def _standard_walk(lengths: tuple, visit, inner: tuple = ()) -> None:
     lengths/inner (inner: the word lengths of a left-contained, possibly
     weak, inner shape), in a fixed order: perm[t] is the position in the
     maximal word of the box holding t+1, and cuts cut the reading word (0
-    first, n last) after each immaculate descent.  perm is reused between
-    calls."""
+    first, n last) after each immaculate descent, so the empty filling's
+    cuts are [0] and cut no word.  perm is reused between calls."""
     k = len(lengths)
     inner += (0,) * (k - len(inner))
     ends = list(accumulate(lengths))
@@ -243,7 +245,7 @@ def _standard_walk(lengths: tuple, visit, inner: tuple = ()) -> None:
     first_column = [r for r in range(k) if not inner[r]] + [k]
     following = dict(zip(first_column, first_column[1:]))
     n = sum(lengths) - sum(inner)
-    perm, cuts = [], [0]
+    perm, cuts = [], []
 
     def rec(t: int, prev: int, nxt: int) -> None:
         # nxt: the top row whose first box is still empty (k if none); it
@@ -272,7 +274,7 @@ def _standard_walk(lengths: tuple, visit, inner: tuple = ()) -> None:
             perm.pop()
             free[r] = p
 
-    rec(0, k, first_column[0])  # value 1 follows no descent
+    rec(0, -1, first_column[0])  # value 1 opens the first word
 
 
 def _row_slices(lengths: tuple) -> tuple:
@@ -321,6 +323,9 @@ def row_strict_row(row: dict) -> dict:
 #   the next row to open, and otherwise to a row in [0, r_t].  Every branch
 #   completes.  Row q of the shape J spells C's reading word at the values
 #   in row q, and L[J][C] counts the fillings that give J.
+#
+# The empty filling reads no word, so the degree-0 row and column are both
+# {(): 1}, the diagonal entry alone, as every other row's diagonal is 1.
 
 def _empty_reading(word: str) -> str:
     return ""
@@ -352,23 +357,22 @@ def _readers(lengths: tuple, inner: tuple) -> list:
 _shared_readers = lru_cache(maxsize=128)(_readers)
 
 
-def descent_counts(outer: Sentence, inner: Sentence, variant: str) -> Counter:
-    """{descent composition: count} over the standard fillings of outer/inner
-    (inner () or left-contained in outer), keys in walk order: each cuts its
-    reading word after each descent of the variant."""
+def descent_counts(outer: Sentence, inner: Sentence) -> Counter:
+    """{immaculate descent composition: count} over the standard fillings
+    of outer/inner (inner () or left-contained in outer), keys in walk
+    order: each cuts its reading word after each descent."""
     word = "".join(outer)
     readers = _shared_readers(word_lengths(outer), word_lengths(inner))
-    row = Counter([cut("".join(read(word))) for read, cut in readers])
-    return row if variant == IMMACULATE else row_strict_row(row)
+    return Counter([cut("".join(read(word))) for read, cut in readers])
 
 
 @lru_cache(maxsize=512)
-def ell_row(shape: Sentence, variant: str, /) -> Counter:
-    """The L row of one shape, {descent composition: count}: the entry
-    ell_table(alphabet, n, variant)[shape], keys in the same order.  The
-    variant is positional, so each row has one cache key; callers must not
-    mutate it."""
-    return descent_counts(shape, (), _check_variant(variant))
+def ell_row(shape: Sentence) -> Counter:
+    """The immaculate L row of one shape, {descent composition: count}:
+    the entry standard_data(alphabet, n)[shape], keys in the same order.
+    The row-strict row is row_strict_row of it.  Callers must not mutate
+    it."""
+    return descent_counts(shape, ())
 
 
 @lru_cache(maxsize=512)
@@ -377,8 +381,6 @@ def ell_column(comp: Sentence) -> Counter:
     ell_columns(alphabet, n).get(comp, {}).  The row-strict column of C is
     the immaculate column of complement(C).  Callers must not mutate it."""
     column = Counter()
-    if not comp:
-        return column  # the degree-0 descent composition is ("",)
     reading = "".join(comp)
     n = len(reading)
     cuts = set(accumulate(map(len, comp[:-1])))
@@ -398,6 +400,52 @@ def ell_column(comp: Sentence) -> Counter:
 
     rec(0, 0, 0)
     return column
+
+
+# ---------------------------------------------------------------------------
+# the inverse of L by key, L being unitriangular in word-length order.  A
+# step pushes keys of the popped key's degree, strictly later in the heap's
+# order, so one heap serves mixed degrees and pops each key once, after
+# every key feeding it.
+
+def _back_substitute(terms: dict, line, order) -> dict:
+    """{v: x_v} with sum_v x_v line(v) = terms, where line(v) holds v with
+    weight 1 and otherwise keys later in order: pop the first key v, take
+    its residual as x_v, and subtract x_v * line(v) off the diagonal."""
+    residual = dict(terms)
+    heap = [(order(v), v) for v in residual]
+    heapify(heap)
+    out = {}
+    while heap:
+        v = heappop(heap)[1]
+        x = residual.pop(v)
+        if x:
+            out[v] = x
+            for j, w in line(v).items():
+                if j != v:
+                    if j not in residual:
+                        residual[j] = 0
+                        heappush(heap, (order(j), j))
+                    residual[j] -= w * x
+    return out
+
+
+def _larger_first(v: Sentence) -> tuple:
+    return tuple([-p for p in word_lengths(v)])
+
+
+def solve_rows(terms: dict) -> dict:
+    """The DI coefficients of the F expression with these terms, largest
+    word lengths first, subtracting L rows.  Negating the word lengths
+    reverses their order within a degree, where no composition is a prefix
+    of another."""
+    return _back_substitute(terms, ell_row, _larger_first)
+
+
+def solve_columns(terms: dict) -> dict:
+    """The R coefficients of the IM expression with these terms, smallest
+    word lengths first, subtracting along L columns."""
+    return _back_substitute(terms, ell_column, word_lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +539,11 @@ def kostka(shape: Sentence, type_: Sentence, variant: str = IMMACULATE) -> int:
 
 def ell_coeff(shape: Sentence, comp: Sentence, variant: str = IMMACULATE) -> int:
     """Number of standard tableaux of the shape whose colored descent
-    composition (of the variant) equals comp: one entry of its L row."""
-    return ell_row(shape, variant).get(comp, 0)
+    composition (of the variant) equals comp: one entry of its L row, the
+    row-strict entry read at the complement."""
+    if _check_variant(variant) == ROW_STRICT:
+        comp = complement(comp)
+    return ell_row(shape).get(comp, 0)
 
 
 # ---------------------------------------------------------------------------

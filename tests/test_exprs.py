@@ -301,3 +301,22 @@ def test_converter_needs_a_chain_for_every_pair():
               ("RSDI", "F"): identity, ("F", "RSDI"): identity}
     with pytest.raises(ValueError, match="no chain of QSym_A routes from M to DI"):
         side_converter("qsym", routes)
+
+
+def test_every_route_antipode_and_psi_keeps_the_empty_index():
+    # a row route treats () like any other index, so each row must be
+    # {(): 1} there: the L row and column of degree 0 (the empty filling
+    # reads no word), the Mobius and signed sums over the one refinement of
+    # (), and the solves, whose diagonal is all that () has
+    c = Fraction(-5, 3)
+    maps = [
+        (f"{module.__name__} {src} -> {dst}", route, src, dst)
+        for module in (qsym, nsym)
+        for (src, dst), route in module._ROUTES.items()
+    ]
+    maps += [("antipode M", qsym.antipode_m, "M", "M"), ("antipode H", nsym.antipode_h, "H", "H")]
+    maps += [(f"psi {src}", qsym.psi, src, dst) for src, dst in qsym._PSI_TAG.items()]
+    maps += [(f"psi {src}", nsym.psi, src, dst) for src, dst in nsym._PSI_TAG.items()]
+    for name, f, src, dst in maps:
+        for alphabet in (Alphabet("a"), ABC):
+            assert f(Expr(src, alphabet, {(): c})) == Expr(dst, alphabet, {(): c}), name

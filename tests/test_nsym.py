@@ -182,6 +182,8 @@ def _table_column(complemented):
 
 def _graph_column(complemented):
     def column(alphabet, j):
+        if not j:
+            return {(): 1}  # no graph has degree 0
         col = dg.inverse_column(dg.cached_graph(alphabet, size(j)), j)
         return {complement(i): v for i, v in col.items()} if complemented else col
 

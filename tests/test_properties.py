@@ -29,7 +29,7 @@ from cqsym.sentences import (
     reversal,
     size,
 )
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_column, ell_row, row_strict_row, standard_data
+from cqsym.tableaux import ell_column, ell_row, solve_columns, solve_rows, standard_data
 
 ALPHABETS = tuple(Alphabet(colors) for colors in ("a", "ab", "abc"))
 
@@ -55,8 +55,7 @@ def sentences(draw, max_size=5):
 def test_rows_and_columns_by_key_equal_the_table_and_its_transpose(case):
     alphabet, s = case
     table = standard_data(alphabet, sum(map(len, s)))
-    assert ell_row(s, IMMACULATE) == table[s]
-    assert ell_row(s, ROW_STRICT) == row_strict_row(table[s])
+    assert ell_row(s) == table[s]
     # the transpose, read off the row of every shape
     assert ell_column(s) == {j: row[s] for j, row in table.items() if s in row}
 
@@ -142,9 +141,9 @@ def test_mobius_maps_and_antipodes_are_their_signed_sums(name, data):
 # and at degree <= 4 its literal signed path sums
 
 SOLVES = {
-    "F": (dg.solve_rows, dg.inverse_row, dg.reachable, dg.path_inverse_coeff),
+    "F": (solve_rows, dg.inverse_row, dg.reachable, dg.path_inverse_coeff),
     "IM": (
-        dg.solve_columns,
+        solve_columns,
         dg.inverse_column,
         lambda g, j: g.vertices,
         lambda g, j, k: dg.path_inverse_coeff(g, k, j),

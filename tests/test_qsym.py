@@ -137,6 +137,8 @@ def _table_row(variant):
 
 def _graph_row(complemented):
     def row(alphabet, i):
+        if not i:
+            return {(): 1}  # no graph has degree 0
         return dg.inverse_row(dg.cached_graph(alphabet, size(i)), complement(i) if complemented else i)
 
     return row

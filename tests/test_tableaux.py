@@ -20,6 +20,7 @@ from cqsym.tableaux import (
     IMMACULATE,
     ROW_STRICT,
     Tableau,
+    descent_counts,
     ell_coeff,
     ell_column,
     ell_columns,
@@ -30,7 +31,6 @@ from cqsym.tableaux import (
     kostka,
     kostka_columns,
     kostka_table,
-    row_strict_row,
     standard_data,
 )
 
@@ -260,9 +260,11 @@ def test_standard_data_matches_tableau_descent_compositions():
 
 
 def test_standard_data_degree_zero():
-    # the empty filling: one reading word "", cut nowhere, in both variants
-    assert standard_data(AB, 0) == {(): Counter({("",): 1})}
-    assert ell_table(AB, 0, ROW_STRICT) == {(): {("",): 1}}
+    # the empty filling reads no word, so its descent composition is () in
+    # both variants, as the empty tableau's is
+    assert standard_data(AB, 0) == {(): Counter({(): 1})}
+    assert ell_table(AB, 0, ROW_STRICT) == {(): {(): 1}}
+    assert Tableau((), ()).descent_composition() == ()
 
 
 def test_cached_tables_take_variant_positionally():
@@ -276,34 +278,30 @@ def test_cached_tables_take_variant_positionally():
         assert table(AB, 3, IMMACULATE) is table(AB, 3, IMMACULATE)
     # the L columns are immaculate only: one entry per degree
     assert ell_columns(AB, 3) is ell_columns(AB, 3)
-    # likewise one entry per L row by key
+    # the L rows and columns by key are immaculate only: one entry per key
     shape = ("ab", "a")
-    with pytest.raises(TypeError):
-        ell_row(shape)
-    with pytest.raises(TypeError):
-        ell_row(shape, variant=IMMACULATE)
-    assert ell_row(shape, IMMACULATE) is ell_row(shape, IMMACULATE)
-    with pytest.raises(ValueError):
-        ell_row(shape, "strict")
+    assert ell_row(shape) is ell_row(shape)
+    assert ell_column(shape) is ell_column(shape)
+    for by_key in (ell_row, ell_column):
+        with pytest.raises(TypeError):
+            by_key(shape, IMMACULATE)
 
 
 def test_rows_and_columns_by_key_match_the_tables():
-    # every row in the table's key order, both variants: the row-strict row
-    # is read from its own slices, and equals the immaculate one complemented
+    # every row in the table's key order, and every column, degree 0 too
     for alphabet, top in ((Alphabet("a"), 7), (AB, 5), (ABC, 4)):
         for n in range(top + 1):
             table = standard_data(alphabet, n)
             for shape, row in table.items():
-                assert list(ell_row(shape, IMMACULATE).items()) == list(row.items()), shape
-                strict = ell_row(shape, ROW_STRICT)
-                assert list(strict.items()) == list(row_strict_row(row).items()), shape
+                assert list(ell_row(shape).items()) == list(row.items()), shape
             columns = ell_columns(alphabet, n)
-            for comp in list(table) if n else [(), ("",)]:
+            for comp in table:
                 assert ell_column(comp) == columns.get(comp, {}), comp
-    # degree 0: the empty filling reads "" cut nowhere
-    assert ell_row((), IMMACULATE) == ell_row((), ROW_STRICT) == {("",): 1}
-    assert ell_column(("",)) == {(): 1}
-    assert ell_column(()) == {}
+    # degree 0: the empty filling reads no word, so () is its own row,
+    # column and skew row
+    assert ell_row(()) == ell_column(()) == {(): 1}
+    for shape in ((), ("ab", "a")):
+        assert descent_counts(shape, shape) == {(): 1}
 
 
 def test_rows_count_f_alpha_fillings():
@@ -316,14 +314,14 @@ def test_rows_count_f_alpha_fillings():
             for i, part in enumerate(alpha):
                 want *= math.comb(sum(alpha[i:]) - 1, part - 1)
             shape = tuple("a" * part for part in alpha)
-            assert sum(ell_row(shape, IMMACULATE).values()) == want, alpha
+            assert sum(ell_row(shape).values()) == want, alpha
 
 
 def test_a_degree_12_row_and_column_walk_only_their_fillings():
     # the degree has B_12 = 4,213,597 standard fillings; the row of (6, 6)
     # walks its 462 and the one-word column its one
     start = time.perf_counter()
-    row = ell_row(("aaaaaa", "aaaaaa"), IMMACULATE)
+    row = ell_row(("aaaaaa", "aaaaaa"))
     column = ell_column(("a" * 12,))
     elapsed = time.perf_counter() - start
     assert sum(row.values()) == math.comb(11, 5) == 462

@@ -6,8 +6,8 @@ import pytest
 
 from cqsym import cli, nsym, qsym, verify
 from cqsym.exprs import Expr
-from cqsym.sentences import Alphabet, all_sentences, complement, sentence_str
-from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_row
+from cqsym.sentences import Alphabet, all_sentences, sentence_str
+from cqsym.tableaux import IMMACULATE, ROW_STRICT, ell_row, row_strict_row
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -69,26 +69,30 @@ def test_duality_matches_the_per_pair_reference(alphabet, max_degree):
 
 @contextmanager
 def _one_ell_entry_off_by_one(shape, variant):
-    """Raise one L entry of shape by one in the cached by-key rows that the
-    routes read, then put it back: no cache holds anything computed from
-    it.  The immaculate entry L[J][C] is stored in both rows of J, the
-    immaculate one at C and the row-strict one at complement(C), and is
-    raised in both; the row-strict entry is raised only in the row-strict
-    row that RSDI -> F reads."""
-    strict = ell_row(shape, ROW_STRICT)
+    """Raise one L entry of shape by one where the routes read it, then put
+    it back: no cache holds anything computed from it.  The immaculate
+    entry L[J][C] is raised in the cached row of J, which RSDI -> F also
+    reads, at complement(C).  The row-strict entry is raised only at the
+    row-strict read of that row in RSDI -> F."""
+    row = ell_row(shape)
     if variant == IMMACULATE:
-        row = ell_row(shape, IMMACULATE)
         comp = min(row)
-        entries = [(row, comp), (strict, complement(comp))]
-    else:
-        entries = [(strict, min(strict))]
-    for row, comp in entries:
         row[comp] += 1
-    try:
-        yield
-    finally:
-        for row, comp in entries:
+        try:
+            yield
+        finally:
             row[comp] -= 1
+        return
+
+    def faulty(read):
+        strict = row_strict_row(read)
+        if read is row:
+            strict[min(strict)] += 1
+        return strict
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsym, "row_strict_row", faulty)
+        yield
 
 
 @pytest.mark.parametrize("variant", [IMMACULATE, ROW_STRICT])
